@@ -163,7 +163,4 @@ def states_bisimilar(a: Wfa, u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_
     v = np.asarray(v, dtype=float)
     if u.shape != (a.dim,) or v.shape != (a.dim,):
         raise ValueError(f"state vectors must have shape ({a.dim},)")
-    w = largest_bisimulation(a, tol)
-    diff = u - v
-    resid = diff - w.project(diff)
-    return float(np.linalg.norm(resid)) <= tol * (1.0 + float(np.linalg.norm(diff)))
+    return largest_bisimulation(a, tol).contains(u - v)

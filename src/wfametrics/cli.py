@@ -280,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads",
-        type=int,
-        default=1,
-        help="worker threads; 1 (the default and only implemented mode) is bit-reproducible",
+        default="1",
+        help="worker threads; 1 (the default and only implemented mode) is bit-reproducible; "
+        "any other value is an input error",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -403,10 +403,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_threads(value: str) -> None:
+    """Only single-threaded runs are implemented; reject every other request."""
+    try:
+        ok = int(value) == 1
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(f"--threads {value!r} is not supported; only 1 thread is implemented")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_threads(args.threads)
         return args.func(args)
     except metric.CannotCertifyError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -53,6 +53,17 @@ def _as_square_stack(mats) -> np.ndarray:
     return arr
 
 
+def extend_products(gens: np.ndarray, prods: np.ndarray) -> np.ndarray:
+    """Next product level: ``gens[g] @ prods[p]`` for every pair, stored at ``p*k + g``.
+
+    With ``prods`` in lexicographic word order (the product for word
+    ``x1..xt`` being ``T[xt] @ ... @ T[x1]``), the result is the next level in
+    the same order.
+    """
+    n = gens.shape[1]
+    return np.einsum("gij,pjk->pgik", gens, prods).reshape(-1, n, n)
+
+
 def jsr_bounds(
     mats,
     depth: int,
@@ -96,12 +107,8 @@ def jsr_bounds(
     prods = np.eye(n)[None, :, :]
 
     for t in range(1, depth + 1):
-        # Child of word at index p extended by symbol g sits at p*k + g,
-        # matching the lexicographic order of new_words.
-        new_words = [w + (s,) for w in words for s in symbols]
-        new_prods = np.einsum("gij,pjk->pgik", gens, prods).reshape(-1, n, n)
-        words = new_words
-        prods = new_prods
+        words = [w + (s,) for w in words for s in symbols]
+        prods = extend_products(gens, prods)
 
         radii = spectral_radii(prods)
         best = int(np.argmax(radii))

@@ -44,7 +44,8 @@ def null_basis(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     n = mat.shape[1]
     if mat.size == 0 or not np.any(mat):
         return np.eye(n)
-    _, sv, vt = np.linalg.svd(mat)
+    # Only a wide input needs the full V; a tall one skips the full m-by-m U.
+    _, sv, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     rank = int(np.sum(sv > tol * sv[0])) if sv.size else 0
     return fix_signs(vt[rank:].T)
 
@@ -74,14 +75,6 @@ def spectral_norms(mats: np.ndarray) -> np.ndarray:
         return np.zeros(mats.shape[:-2])
     sv = np.linalg.svd(mats, compute_uv=False)
     return sv[..., 0]
-
-
-def spectral_radius(mat: np.ndarray) -> float:
-    """Largest eigenvalue modulus."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
 def spectral_radii(mats: np.ndarray) -> np.ndarray:

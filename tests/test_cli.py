@@ -169,6 +169,19 @@ class TestValidationErrors:
     def test_missing_file_exit_one(self, capsys):
         assert main(["eval", "/nonexistent/x.json", "--word", "a"]) == 1
 
+    @pytest.mark.parametrize("threads", ["0", "2", "-1", "many"])
+    def test_threads_other_than_one_exit_one(self, growth_files, threads, capsys):
+        _, a1 = growth_files
+        assert main(["--threads", threads, "eval", a1, "--word", "a"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --threads")
+
+    def test_threads_one_accepted(self, growth_files, capsys):
+        _, a1 = growth_files
+        assert main(["--threads", "1", "eval", a1, "--word", "aa"]) == 0
+        assert capsys.readouterr().out.strip() == "2.25"
+
 
 class TestHankelLearnCommands:
     def test_hankel_learn_round_trip(self, tmp_path, capsys):

@@ -14,6 +14,8 @@ from wfametrics import (
     with_final,
     with_initial,
 )
+from wfametrics.jsr import extend_products
+from wfametrics.linalg import spectral_radii
 from conftest import random_stochastic, random_wfa
 
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -69,6 +71,29 @@ class TestJsrBounds:
             prod = CLASSIC_PAIR[int(sym)] @ prod
         radius = np.max(np.abs(np.linalg.eigvals(prod)))
         assert radius ** (1.0 / len(b.witness)) == pytest.approx(b.lower, rel=1e-12)
+
+    def test_extend_products_follows_witness_convention(self, rng):
+        # index of word x1..xt in a level is its base-k value; the product is
+        # T[xt] @ ... @ T[x1], the order jsr_bounds uses for its witness
+        gens = rng.standard_normal((3, 2, 2))
+        level = np.eye(2)[None]
+        for t in range(1, 5):
+            level = extend_products(gens, level)
+            words = list(itertools.product(range(3), repeat=t))
+            assert level.shape == (len(words), 2, 2)
+            for idx, word in enumerate(words):
+                expected = np.eye(2)
+                for x in word:
+                    expected = gens[x] @ expected
+                np.testing.assert_allclose(level[idx], expected, rtol=1e-12, atol=1e-12)
+
+        b = jsr_bounds(gens, depth=4)
+        t = len(b.witness)
+        level = np.eye(2)[None]
+        for _ in range(t):
+            level = extend_products(gens, level)
+        idx = sum(int(x) * 3 ** (t - 1 - i) for i, x in enumerate(b.witness))
+        assert spectral_radii(level)[idx] ** (1.0 / t) == b.lower
 
     def test_conjugation_keeps_bracket_overlapping(self, rng):
         t = np.eye(2) + 0.2 * rng.standard_normal((2, 2))

@@ -1,0 +1,41 @@
+import numpy as np
+import pytest
+
+from wfametrics.linalg import DEFAULT_TOL, fix_signs, null_basis
+
+
+def full_svd_null_basis(mat, tol=DEFAULT_TOL):
+    """Null basis from the full SVD, with the same rank rule and sign fix."""
+    _, sv, vt = np.linalg.svd(mat, full_matrices=True)
+    rank = int(np.sum(sv > tol * sv[0]))
+    return fix_signs(vt[rank:].T)
+
+
+def low_rank(rng, rows, cols, rank):
+    return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+
+
+class TestNullBasis:
+    @pytest.mark.parametrize(
+        "rows, cols, rank",
+        [
+            (12, 5, 5),  # tall, full column rank
+            (12, 5, 3),  # tall, rank-deficient
+            (40, 8, 6),  # much taller than wide, rank-deficient
+            (5, 5, 5),  # square, invertible
+            (6, 6, 2),  # square, rank-deficient
+            (1, 7, 1),  # wide single row, like a final-weight vector
+            (3, 7, 2),  # wide, rank-deficient
+        ],
+    )
+    def test_kernel_basis(self, rows, cols, rank):
+        rng = np.random.default_rng(rows * 100 + cols * 10 + rank)
+        mat = low_rank(rng, rows, cols, rank)
+        basis = null_basis(mat)
+        assert basis.shape == (cols, cols - rank)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(cols - rank), atol=1e-12)
+        np.testing.assert_allclose(mat @ basis, 0.0, atol=1e-12 * np.linalg.norm(mat))
+        np.testing.assert_allclose(basis, full_svd_null_basis(mat), atol=1e-12)
+
+    def test_zero_matrix_is_whole_space(self):
+        np.testing.assert_array_equal(null_basis(np.zeros((3, 4))), np.eye(4))

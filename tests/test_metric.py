@@ -15,6 +15,7 @@ from wfametrics import (
     seminorm_interval,
     truncated_seminorm,
 )
+from wfametrics.metric import balance_scaling
 from conftest import all_words, duplicated_copy, pad_with_zero_state, random_stochastic, random_wfa
 
 
@@ -56,7 +57,82 @@ class TestAdmissibleGamma:
         assert admissible_gamma_bound(a, depth=8) == pytest.approx(1 / 1.5, abs=1e-6)
 
 
+# Badly scaled pair: the identity needs long blocks, the balanced scaling
+# certifies theta ~ 0.70 at m = 1 and ~ 0.68 at m = 2.
+SKEWED = Wfa(
+    alphabet=("a", "b"), alpha=[1.0, 0.0], beta=[1.0, 1.0],
+    trans={"a": [[0.5, 8.0], [0.0, 0.4]], "b": [[0.3, 0.0], [0.02, 0.5]]},
+)
+
+
+def reference_tail_params(a, gamma, depth=8, product_cap=4096):
+    """From-scratch certificate search, or None when nothing certifies.
+
+    Conjugates each matrix explicitly, rebuilds every product level from the
+    identity and takes K from the level-1 maximum norm.
+    """
+    stack = a.trans_stack()
+    k, n = stack.shape[0], a.dim
+    candidates = [np.eye(n)]
+    balanced = balance_scaling(stack)
+    if not np.allclose(balanced, np.eye(n)):
+        candidates.append(balanced)
+    for s_mat in candidates:
+        scaled = np.stack([s_mat @ t @ np.linalg.inv(s_mat) for t in stack])
+        tops = []
+        for m in range(1, depth + 1):
+            if k**m > product_cap:
+                break
+            prods = np.eye(n)[None]
+            for _ in range(m):
+                prods = np.einsum("gij,pjk->pgik", scaled, prods).reshape(-1, n, n)
+            tops.append(float(np.max(np.linalg.svd(prods, compute_uv=False)[:, 0])))
+            theta = tops[-1] ** (1.0 / m) if tops[-1] > 0 else 0.0
+            if gamma * theta < 1.0 - 1e-12:
+                return theta, m, max(1.0, tops[0]), s_mat
+    return None
+
+
+def _bounded(norm_cap):
+    return random_wfa(np.random.default_rng(5), n=4, norm_cap=norm_cap)
+
+
+def _stochastic():
+    rng = np.random.default_rng(6)
+    trans = {s: random_stochastic(rng, 3).T for s in ("a", "b")}
+    return Wfa(alphabet=("a", "b"), alpha=[1, 0, 0], beta=[1.0, 0.5, 0.1], trans=trans)
+
+
+TAIL_CASES = {
+    # (automaton, gamma, depth, product_cap, expected (block_len, balanced) or "raises")
+    "identity-m1": (_bounded(0.8), 1.0, 8, 4096, (1, False)),
+    "identity-m4": (_stochastic(), 0.97, 10, 4096, (4, False)),
+    "balanced-m5": (_stochastic(), 0.99, 10, 4096, (5, True)),
+    "balanced-m2": (SKEWED, 1.45, 4, 4096, (2, True)),
+    "identity-m7-uncapped": (SKEWED, 1.0, 8, 4096, (7, False)),
+    "product-cap-break": (SKEWED, 1.0, 8, 64, (1, True)),
+    "cannot-certify": (SKEWED, 1.45, 4, 2, "raises"),
+}
+
+
 class TestTailParams:
+    @pytest.mark.parametrize("case", list(TAIL_CASES))
+    def test_matches_from_scratch_reference(self, case):
+        a, gamma, depth, cap, expected = TAIL_CASES[case]
+        ref = reference_tail_params(a, gamma, depth, cap)
+        if expected == "raises":
+            assert ref is None
+            with pytest.raises(CannotCertifyError):
+                compute_tail_params(a, gamma, depth, product_cap=cap)
+            return
+        params = compute_tail_params(a, gamma, depth, product_cap=cap)
+        theta, block_len, step_norm, scaling = ref
+        assert params.theta == theta
+        assert params.block_len == block_len
+        assert params.step_norm == step_norm
+        assert np.array_equal(params.scaling, scaling)
+        assert (block_len, not np.array_equal(scaling, np.eye(a.dim))) == expected
+
     def test_single_step_identity_accepted(self, rng):
         a = random_wfa(rng, norm_cap=0.8)
         params = compute_tail_params(a, gamma=1.0)
