@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Wfa
-from .linalg import DEFAULT_TOL, fix_signs, null_basis, orth_basis
+from .linalg import DEFAULT_TOL, null_basis, orth_basis
 
 
 @dataclass(frozen=True)

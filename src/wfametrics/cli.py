@@ -10,15 +10,15 @@ and deterministic: the same command line produces byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-
-import numpy as np
 
 from . import learn as learn_mod
 from . import metric, umdp as umdp_mod
 from .bisim import largest_bisimulation, minimize
-from .core import Wfa, difference, evaluate, format_word, load_wfa, reverse, save_wfa, wfa_to_dict
+from .core import (
+    all_words, difference, evaluate, float_array, format_word, json_text, load_json, load_wfa,
+    reverse, wfa_to_dict,
+)
 from .jsr import DEFAULT_NODE_BUDGET, wfa_irreducible, wfa_spectral_radius
 from .linalg import DEFAULT_TOL
 
@@ -107,34 +107,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reverse(args) -> int:
-    a = load_wfa(args.wfa)
-    rev = reverse(a)
-    if args.output:
-        save_wfa(rev, args.output)
-    else:
-        json.dump(wfa_to_dict(rev), sys.stdout, indent=2)
-        print()
+    _write(json_text(wfa_to_dict(reverse(load_wfa(args.wfa)))), args.output)
     return EXIT_OK
 
 
 def cmd_diff(args) -> int:
     d = difference(load_wfa(args.wfa1), load_wfa(args.wfa2))
-    if args.output:
-        save_wfa(d, args.output)
-    else:
-        json.dump(wfa_to_dict(d), sys.stdout, indent=2)
-        print()
+    _write(json_text(wfa_to_dict(d)), args.output)
     return EXIT_OK
 
 
 def cmd_minimize(args) -> int:
     m = minimize(load_wfa(args.wfa), args.tol)
     print(f"dim {m.dim}")
-    if args.output:
-        save_wfa(m, args.output)
-    else:
-        json.dump(wfa_to_dict(m), sys.stdout, indent=2)
-        print()
+    _write(json_text(wfa_to_dict(m)), args.output)
     return EXIT_OK
 
 
@@ -172,8 +158,7 @@ def cmd_distance(args) -> int:
 
 def cmd_seminorm(args) -> int:
     a = load_wfa(args.wfa)
-    with open(args.vector) as fh:
-        vec = np.asarray(json.load(fh), dtype=float)
+    vec = load_json(args.vector, lambda doc: float_array(doc, "vector"))
     iv = metric.seminorm_interval(a, vec, args.gamma, args.eps, args.budget)
     sys.stdout.write(_interval_report(iv))
     return _interval_exit(iv)
@@ -191,38 +176,21 @@ def cmd_hankel(args) -> int:
     block = learn_mod.hankel_from_wfa(
         a, read_words(args.prefixes, a.alphabet), read_words(args.suffixes, a.alphabet)
     )
-    if args.output:
-        learn_mod.save_block(block, args.output)
-    else:
-        json.dump(learn_mod.block_to_dict(block), sys.stdout, indent=2)
-        print()
+    _write(json_text(learn_mod.block_to_dict(block)), args.output)
     return EXIT_OK
 
 
 def cmd_learn(args) -> int:
     block = learn_mod.load_block(args.block)
     a = learn_mod.spectral_learn(block, args.rank, args.tol)
-    if args.output:
-        save_wfa(a, args.output)
-    else:
-        json.dump(wfa_to_dict(a), sys.stdout, indent=2)
-        print()
+    _write(json_text(wfa_to_dict(a)), args.output)
     return EXIT_OK
-
-
-def _all_words(alphabet: tuple[str, ...], max_len: int) -> list[tuple[str, ...]]:
-    words = [()]
-    level = [()]
-    for _ in range(max_len):
-        level = [w + (s,) for w in level for s in alphabet]
-        words.extend(level)
-    return words
 
 
 def cmd_experiment_learn(args) -> int:
     a = load_wfa(args.wfa)
     basis_len = args.basis_len if args.basis_len is not None else max(1, minimize(a).dim)
-    words = _all_words(a.alphabet, basis_len)
+    words = all_words(a.alphabet, basis_len)
     rows = learn_mod.perturbation_experiment(
         a,
         words,

@@ -11,13 +11,15 @@ operations here are pure functions and safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 Word = tuple[str, ...]
+T = TypeVar("T")
 
 
 def as_word(x: Iterable[str]) -> Word:
@@ -28,6 +30,11 @@ def as_word(x: Iterable[str]) -> Word:
     symbols.
     """
     return tuple(x)
+
+
+def all_words(alphabet: Sequence[str], max_len: int) -> list[Word]:
+    """Every word of length at most ``max_len``: shortest first, then in ``alphabet`` order."""
+    return [w for length in range(max_len + 1) for w in itertools.product(alphabet, repeat=length)]
 
 
 def format_word(word: Sequence[str]) -> str:
@@ -102,16 +109,22 @@ class Wfa:
         return word
 
 
+def prefix_states(a: Wfa, word: Iterable[str]) -> np.ndarray:
+    """Forward states along ``word``, shape ``(len(word) + 1, dim)``: row ``t`` is ``tau_{x<=t}(alpha)``."""
+    word = a.check_word(word)
+    states = np.empty((len(word) + 1, a.dim))
+    states[0] = a.alpha
+    for t, sym in enumerate(word, 1):
+        states[t] = a.trans[sym] @ states[t - 1]
+    return states
+
+
 def evaluate(a: Wfa, word: Iterable[str]) -> float:
     """Value of ``a`` on ``word``: ``beta . tau_word(alpha)``.
 
     The empty word gives ``beta . alpha``.
     """
-    word = a.check_word(word)
-    state = a.alpha
-    for sym in word:
-        state = a.trans[sym] @ state
-    return float(a.beta @ state)
+    return float(a.beta @ prefix_states(a, word)[-1])
 
 
 def reverse(a: Wfa) -> Wfa:
@@ -168,6 +181,59 @@ def difference(a1: Wfa, a2: Wfa) -> Wfa:
 # JSON interchange
 # ---------------------------------------------------------------------------
 
+def load_json(path: str, from_doc: Callable[[object], T]) -> T:
+    """Build a result from the JSON file at ``path``; every ``ValueError`` names ``path``."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}")
+        except (UnicodeDecodeError, RecursionError) as err:
+            raise ValueError(f"{path}: invalid JSON: {err}")
+    try:
+        return from_doc(doc)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}")
+
+
+def json_text(doc) -> str:
+    """Interchange text of a document: two-space indent and a final newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def check_document(doc, kind: str, fields: Sequence[str]) -> None:
+    """Raise ``ValueError`` unless ``doc`` is a JSON object holding every field in ``fields``."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"{kind} document must be a JSON object, got {type(doc).__name__}")
+    for key in fields:
+        if key not in doc:
+            raise ValueError(f"{kind} document missing field {key!r}")
+
+
+def float_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; a ``ValueError`` names ``name`` if it is not numeric."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{name} must hold numbers: {err}") from None
+
+
+def symbol_list(doc: Mapping, key: str) -> tuple[str, ...]:
+    """Field ``key`` of ``doc``, which must be a list of strings, as a tuple."""
+    value = doc[key]
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise ValueError(f"field {key!r} must be a list of strings")
+    return tuple(value)
+
+
+def matrix_map(doc: Mapping, key: str) -> dict[str, np.ndarray]:
+    """Field ``key`` of ``doc``, an object mapping symbols to matrices, as float arrays."""
+    value = doc[key]
+    if not isinstance(value, Mapping):
+        raise ValueError(f"field {key!r} must be an object mapping symbols to matrices")
+    return {sym: float_array(rows, f"{key}[{sym!r}]") for sym, rows in value.items()}
+
+
 def wfa_to_dict(a: Wfa) -> dict:
     return {
         "alphabet": list(a.alphabet),
@@ -179,45 +245,28 @@ def wfa_to_dict(a: Wfa) -> dict:
 
 
 def wfa_from_dict(doc: Mapping) -> Wfa:
-    for key in ("alphabet", "dim", "alpha", "beta", "trans"):
-        if key not in doc:
-            raise ValueError(f"WFA document missing field {key!r}")
-    alphabet = doc["alphabet"]
-    if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
-        raise ValueError("field 'alphabet' must be a list of strings")
+    check_document(doc, "WFA", ("alphabet", "dim", "alpha", "beta", "trans"))
+    alphabet = symbol_list(doc, "alphabet")
     n = doc["dim"]
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"field 'dim' must be a non-negative integer, got {n!r}")
-    alpha = np.asarray(doc["alpha"], dtype=float)
-    beta = np.asarray(doc["beta"], dtype=float)
+    alpha = float_array(doc["alpha"], "field 'alpha'")
+    beta = float_array(doc["beta"], "field 'beta'")
     if alpha.shape != (n,):
         raise ValueError(f"field 'alpha' has length {alpha.shape}, expected ({n},)")
     if beta.shape != (n,):
         raise ValueError(f"field 'beta' has length {beta.shape}, expected ({n},)")
-    if not isinstance(doc["trans"], Mapping):
-        raise ValueError("field 'trans' must be an object mapping symbols to matrices")
-    trans = {}
-    for sym, rows in doc["trans"].items():
-        mat = np.asarray(rows, dtype=float)
+    trans = matrix_map(doc, "trans")
+    for sym, mat in trans.items():
         if mat.shape != (n, n):
             raise ValueError(f"trans[{sym!r}] has shape {mat.shape}, expected ({n}, {n})")
-        trans[sym] = mat
-    return Wfa(alphabet=tuple(alphabet), alpha=alpha, beta=beta, trans=trans)
+    return Wfa(alphabet=alphabet, alpha=alpha, beta=beta, trans=trans)
 
 
 def load_wfa(path: str) -> Wfa:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}")
-    try:
-        return wfa_from_dict(doc)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}")
+    return load_json(path, wfa_from_dict)
 
 
 def save_wfa(a: Wfa, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(wfa_to_dict(a), fh, indent=2)
-        fh.write("\n")
+        fh.write(json_text(wfa_to_dict(a)))

@@ -12,7 +12,6 @@ bisimulation distance, never parameter-wise.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -20,8 +19,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bisim import minimize
-from .core import Wfa, Word, as_word
-from .linalg import DEFAULT_TOL, fix_signs, numerical_rank, spectral_norm
+from .core import (
+    Wfa, Word, as_word, check_document, float_array, json_text, load_json, matrix_map,
+    prefix_states, reverse, symbol_list,
+)
+from .linalg import DEFAULT_TOL, numerical_rank, sign_flips, spectral_norm
 from .metric import CannotCertifyError, distance
 
 _DEGENERATE_REL = 1e-14
@@ -91,18 +93,9 @@ def hankel_from_wfa(a: Wfa, prefixes: Sequence, suffixes: Sequence) -> HankelBlo
     if () not in prefixes or () not in suffixes:
         raise ValueError("prefix and suffix sets must both contain the empty word")
 
-    fwd = np.empty((len(prefixes), a.dim))
-    for i, word in enumerate(prefixes):
-        state = a.alpha
-        for sym in word:
-            state = a.trans[sym] @ state
-        fwd[i] = state
-    bwd = np.empty((len(suffixes), a.dim))
-    for j, word in enumerate(suffixes):
-        covec = a.beta
-        for sym in reversed(word):
-            covec = covec @ a.trans[sym]
-        bwd[j] = covec
+    fwd = np.array([prefix_states(a, p)[-1] for p in prefixes])
+    rev = reverse(a)
+    bwd = np.array([prefix_states(rev, s[::-1])[-1] for s in suffixes])
 
     h = fwd @ bwd.T
     hsig = {sym: fwd @ a.trans[sym].T @ bwd.T for sym in a.alphabet}
@@ -166,14 +159,9 @@ def spectral_learn(block: HankelBlock, rank: int, tol: float = DEFAULT_TOL) -> W
             f"{int(np.sum(sv > tol * sv[0]))} of the block",
             stacklevel=2,
         )
-    u_r = u[:, :rank]
-    v_r = vt[:rank].T
-    signs = np.array([
-        1.0 if u_r[int(np.argmax(np.abs(u_r[:, j]))), j] >= 0 else -1.0
-        for j in range(rank)
-    ])
-    u_r = u_r * signs
-    v_r = v_r * signs
+    signs = sign_flips(u[:, :rank])
+    u_r = u[:, :rank] * signs
+    v_r = vt[:rank].T * signs
     d_inv = 1.0 / sv[:rank]
 
     trans = {
@@ -273,33 +261,30 @@ def block_to_dict(block: HankelBlock) -> dict:
 
 
 def block_from_dict(doc: Mapping) -> HankelBlock:
-    for key in ("alphabet", "prefixes", "suffixes", "H", "Hsig", "hP", "hS"):
-        if key not in doc:
-            raise ValueError(f"Hankel block document missing field {key!r}")
+    fields = ("alphabet", "prefixes", "suffixes", "H", "Hsig", "hP", "hS")
+    check_document(doc, "Hankel block", fields)
     return HankelBlock(
-        alphabet=tuple(doc["alphabet"]),
-        prefixes=tuple(tuple(p) for p in doc["prefixes"]),
-        suffixes=tuple(tuple(s) for s in doc["suffixes"]),
-        h=np.asarray(doc["H"], dtype=float),
-        hsig={s: np.asarray(m, dtype=float) for s, m in doc["Hsig"].items()},
-        hp=np.asarray(doc["hP"], dtype=float),
-        hs=np.asarray(doc["hS"], dtype=float),
+        alphabet=symbol_list(doc, "alphabet"),
+        prefixes=_words(doc, "prefixes"),
+        suffixes=_words(doc, "suffixes"),
+        h=float_array(doc["H"], "field 'H'"),
+        hsig=matrix_map(doc, "Hsig"),
+        hp=float_array(doc["hP"], "field 'hP'"),
+        hs=float_array(doc["hS"], "field 'hS'"),
     )
 
 
+def _words(doc: Mapping, key: str) -> tuple[Word, ...]:
+    words = doc[key]
+    if not isinstance(words, list) or not all(isinstance(w, list) for w in words):
+        raise ValueError(f"field {key!r} must be a list of words, each a list of symbols")
+    return tuple(tuple(w) for w in words)
+
+
 def load_block(path: str) -> HankelBlock:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}")
-    try:
-        return block_from_dict(doc)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}")
+    return load_json(path, block_from_dict)
 
 
 def save_block(block: HankelBlock, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(block_to_dict(block), fh, indent=2)
-        fh.write("\n")
+        fh.write(json_text(block_to_dict(block)))

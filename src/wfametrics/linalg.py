@@ -14,17 +14,22 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
+def sign_flips(basis: np.ndarray) -> np.ndarray:
+    """Per-column factor, +1 or -1, that makes the largest-magnitude entry positive.
+
+    The first of several equal magnitudes decides; a basis with no rows gets +1.
+    """
+    basis = np.asarray(basis, dtype=float)
+    if basis.shape[0] == 0:
+        return np.ones(basis.shape[1])
+    top = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    return np.where(top < 0, -1.0, 1.0)
+
+
 def fix_signs(basis: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive."""
-    basis = np.array(basis, dtype=float, copy=True)
-    for j in range(basis.shape[1]):
-        col = basis[:, j]
-        if col.shape[0] == 0:
-            continue
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0:
-            basis[:, j] = -col
-    return basis
+    basis = np.asarray(basis, dtype=float)
+    return basis * sign_flips(basis)
 
 
 def numerical_rank(mat: np.ndarray, tol: float = DEFAULT_TOL) -> int:

@@ -160,6 +160,13 @@ def balance_scaling(mats, iters: int = 25, cond_cap: float = 1e8) -> np.ndarray:
     return np.diag(d)
 
 
+def _candidate_scalings(mats) -> list[np.ndarray]:
+    """Working-norm scalings to try: the identity, then balancing unless it is the identity."""
+    eye = np.eye(mats[0].shape[0])
+    balanced = balance_scaling(mats)
+    return [eye] if np.allclose(balanced, eye) else [eye, balanced]
+
+
 def compute_tail_params(
     a: Wfa, gamma: float, depth: int = 8, *, product_cap: int = 4096
 ) -> TailBoundParams:
@@ -184,12 +191,7 @@ def compute_tail_params(
     stack = a.trans_stack()
     k = stack.shape[0]
 
-    candidates = [np.eye(n)]
-    balanced = balance_scaling(stack)
-    if not np.allclose(balanced, np.eye(n)):
-        candidates.append(balanced)
-
-    for s_mat in candidates:
+    for s_mat in _candidate_scalings(stack):
         scaled = s_mat @ stack @ np.linalg.inv(s_mat)
         prods = np.eye(n)[None]
         for m in range(1, depth + 1):
@@ -397,14 +399,9 @@ def joint_tail_params(a1: Wfa, a2: Wfa, gamma: float) -> TailBoundParams:
         raise ValueError("alphabet mismatch")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    n = a1.dim
     mats = [a1.trans[s] for s in a1.alphabet] + [a2.trans[s] for s in a2.alphabet]
-    candidates = [np.eye(n)]
-    balanced = balance_scaling(mats)
-    if not np.allclose(balanced, np.eye(n)):
-        candidates.append(balanced)
     best = None
-    for s_mat in candidates:
+    for s_mat in _candidate_scalings(mats):
         s_inv = np.linalg.inv(s_mat)
         theta = max(spectral_norm(s_mat @ m @ s_inv) for m in mats)
         if gamma * theta < 1.0 - _CERT_MARGIN and (best is None or theta < best[0]):
@@ -426,7 +423,11 @@ def distance_upper_bound(a1: Wfa, a2: Wfa, gamma: float, params: TailBoundParams
         + gamma |a1| |b2|_* max_s |t1_s - t2_s| / (1-nu)^2
 
     where ``theta`` is the joint per-step bound of both transition families.
-    Requires ``nu < 1``.
+    Requires ``nu < 1``.  ``theta`` is recomputed from both automata in the
+    scaling of ``params`` rather than read from ``params.theta``: callers may
+    pass any certificate (a block one from :func:`compute_tail_params`, or one
+    made for another pair), and trusting its ``theta`` would make the bound
+    unsound.
     """
     if a1.dim != a2.dim:
         raise ValueError(f"dimension mismatch: {a1.dim} vs {a2.dim}")

@@ -10,13 +10,15 @@ intervals rather than point answers).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import Wfa, as_word
+from .core import (
+    Wfa, as_word, check_document, float_array, json_text, load_json, matrix_map,
+    prefix_states, symbol_list,
+)
 from .metric import DEFAULT_BUDGET, DEFAULT_EPS, CertifiedInterval, seminorm_interval
 
 _STOCHASTIC_TOL = 1e-12
@@ -78,8 +80,8 @@ class Umdp:
 def umdp_value_truncated(u: Umdp, x: Iterable[str], horizon: int) -> float:
     """Discounted reward of the first ``horizon`` steps of action string ``x``.
 
-    Computes ``sum_{t=1..horizon} gamma^(t-1) alpha' T_{x<t} beta`` by
-    propagating the state distribution.
+    Computes ``sum_{t=1..horizon} gamma^(t-1) alpha' T_{x<t} beta`` from the
+    forward states of :func:`umdp_to_wfa`, which are the state distributions.
     """
     word = as_word(x)
     if horizon < 1:
@@ -89,12 +91,10 @@ def umdp_value_truncated(u: Umdp, x: Iterable[str], horizon: int) -> float:
     for act in word:
         if act not in u.trans:
             raise ValueError(f"unknown action {act!r}; actions are {list(u.actions)}")
-    dist = u.alpha
     total = 0.0
     gpow = 1.0
-    for t in range(horizon):
+    for dist in prefix_states(umdp_to_wfa(u), word[: horizon - 1]):
         total += gpow * float(dist @ u.beta)
-        dist = dist @ u.trans[word[t]]
         gpow *= u.gamma
     return total
 
@@ -138,36 +138,28 @@ def umdp_to_dict(u: Umdp) -> dict:
 
 
 def umdp_from_dict(doc: Mapping) -> Umdp:
-    for key in ("actions", "states", "alpha", "beta", "trans", "gamma"):
-        if key not in doc:
-            raise ValueError(f"UMDP document missing field {key!r}")
+    check_document(doc, "UMDP", ("actions", "states", "alpha", "beta", "trans", "gamma"))
     n = doc["states"]
-    alpha = np.asarray(doc["alpha"], dtype=float)
-    beta = np.asarray(doc["beta"], dtype=float)
+    alpha = float_array(doc["alpha"], "field 'alpha'")
+    beta = float_array(doc["beta"], "field 'beta'")
     if not isinstance(n, int) or alpha.shape != (n,) or beta.shape != (n,):
         raise ValueError("fields 'alpha'/'beta' must have length 'states'")
+    gamma = float_array(doc["gamma"], "field 'gamma'")
+    if gamma.shape != ():
+        raise ValueError("field 'gamma' must be a number")
     return Umdp(
-        actions=tuple(doc["actions"]),
+        actions=symbol_list(doc, "actions"),
         alpha=alpha,
         beta=beta,
-        trans={a: np.asarray(m, dtype=float) for a, m in doc["trans"].items()},
-        gamma=float(doc["gamma"]),
+        trans=matrix_map(doc, "trans"),
+        gamma=float(gamma),
     )
 
 
 def load_umdp(path: str) -> Umdp:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}")
-    try:
-        return umdp_from_dict(doc)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}")
+    return load_json(path, umdp_from_dict)
 
 
 def save_umdp(u: Umdp, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(umdp_to_dict(u), fh, indent=2)
-        fh.write("\n")
+        fh.write(json_text(umdp_to_dict(u)))

@@ -5,12 +5,11 @@ a chosen cap, which keeps small discounts certifiable everywhere without any
 per-test tuning.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 
 from wfametrics import Wfa
+from wfametrics.core import all_words  # noqa: F401  (re-exported for the tests)
 
 
 def random_wfa(rng, n=3, alphabet=("a", "b"), norm_cap=0.9):
@@ -61,13 +60,6 @@ def pad_with_zero_state(a):
         beta=np.concatenate([a.beta, [0.0]]),
         trans=trans,
     )
-
-
-def all_words(alphabet, max_len):
-    words = [()]
-    for length in range(1, max_len + 1):
-        words.extend(itertools.product(alphabet, repeat=length))
-    return words
 
 
 def random_stochastic(rng, n):

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from wfametrics import Wfa, load_wfa, save_wfa, wfa_from_dict
+from wfametrics import Wfa, hankel_from_wfa, load_wfa, save_wfa, wfa_from_dict, wfa_to_dict
 from wfametrics.cli import main, tokenize_word
-from wfametrics.umdp import Umdp, save_umdp
-from conftest import random_stochastic, random_wfa
+from wfametrics.learn import block_to_dict
+from wfametrics.umdp import Umdp, save_umdp, umdp_to_dict
+from conftest import duplicated_copy, random_stochastic, random_wfa
 
 
 @pytest.fixture
@@ -181,6 +182,107 @@ class TestValidationErrors:
         _, a1 = growth_files
         assert main(["--threads", "1", "eval", a1, "--word", "aa"]) == 0
         assert capsys.readouterr().out.strip() == "2.25"
+
+
+def _valid_documents():
+    a = Wfa(alphabet=("a",), alpha=[1.0], beta=[1.0], trans={"a": [[0.5]]})
+    return {
+        "wfa": wfa_to_dict(a),
+        "umdp": umdp_to_dict(Umdp(("a",), [1.0], [1.0], {"a": [[1.0]]}, 0.5)),
+        "block": block_to_dict(hankel_from_wfa(a, [(), ("a",)], [(), ("a",)])),
+        "vector": [1.0],
+    }
+
+
+MALFORMED = {
+    "wfa-top-level-number": ("wfa", lambda d: 3),
+    "wfa-top-level-null": ("wfa", lambda d: None),
+    "wfa-alpha-object-entry": ("wfa", lambda d: {**d, "alpha": [{}]}),
+    "wfa-trans-entry-object": ("wfa", lambda d: {**d, "trans": {"a": [[{}]]}}),
+    "umdp-top-level-number": ("umdp", lambda d: 3),
+    "umdp-top-level-null": ("umdp", lambda d: None),
+    "umdp-trans-list": ("umdp", lambda d: {**d, "trans": [[[1.0]]]}),
+    "umdp-actions-number": ("umdp", lambda d: {**d, "actions": 3}),
+    "umdp-gamma-list": ("umdp", lambda d: {**d, "gamma": [0.5]}),
+    "block-top-level-number": ("block", lambda d: 3),
+    "block-top-level-null": ("block", lambda d: None),
+    "block-prefix-number": ("block", lambda d: {**d, "prefixes": [[], 1]}),
+    "block-hsig-list": ("block", lambda d: {**d, "Hsig": []}),
+    "block-alphabet-number": ("block", lambda d: {**d, "alphabet": 3}),
+    "vector-object": ("vector", lambda d: {"x": 1.0}),
+}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_error_line_and_exit_one(self, case, tmp_path, capsys):
+        kind, mutate = MALFORMED[case]
+        docs = _valid_documents()
+        wfa_path = tmp_path / "ok.json"
+        wfa_path.write_text(json.dumps(docs["wfa"]))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(mutate(docs[kind])))
+        argv = {
+            "wfa": ["eval", str(path), "--word", "a"],
+            "umdp": ["umdp", "sup", str(path)],
+            "block": ["learn", str(path), "--rank", "1"],
+            "vector": ["seminorm", str(wfa_path), "--vector", str(path), "--gamma", "0.5"],
+        }[kind]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    def test_valid_documents_are_accepted(self, tmp_path, capsys):
+        docs = _valid_documents()
+        paths = {}
+        for kind, doc in docs.items():
+            paths[kind] = tmp_path / f"{kind}.json"
+            paths[kind].write_text(json.dumps(doc))
+        assert main(["eval", str(paths["wfa"]), "--word", "a"]) == 0
+        assert main(["umdp", "sup", str(paths["umdp"])]) == 0
+        assert main(["learn", str(paths["block"]), "--rank", "1"]) == 0
+        assert main(["seminorm", str(paths["wfa"]), "--vector", str(paths["vector"]),
+                     "--gamma", "0.5"]) == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestOneWriter:
+    @pytest.mark.parametrize("command", ["reverse", "diff", "minimize", "hankel", "learn"])
+    def test_stdout_equals_output_file(self, command, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        a = random_wfa(rng, n=2, norm_cap=0.7)
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("a", "b", "dup", "block")}
+        save_wfa(a, paths["a"])
+        save_wfa(random_wfa(rng, n=2, norm_cap=0.6), paths["b"])
+        save_wfa(duplicated_copy(a), paths["dup"])
+        words = tmp_path / "w.txt"
+        words.write_text("\na\nb\nab\n")
+        hankel = ["hankel", paths["a"], "--prefixes", str(words), "--suffixes", str(words)]
+        assert main(hankel + ["-o", paths["block"]]) == 0
+        argv = {
+            "reverse": ["reverse", paths["a"]],
+            "diff": ["diff", paths["a"], paths["b"]],
+            "minimize": ["minimize", paths["dup"]],
+            "hankel": hankel,
+            "learn": ["learn", paths["block"], "--rank", "2"],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        target = tmp_path / "out.json"
+        assert main(argv + ["-o", str(target)]) == 0
+        to_file_stdout = capsys.readouterr().out
+        if command == "minimize":
+            head, out = out.split("\n", 1)
+            assert head == "dim 2"
+            assert to_file_stdout == "dim 2\n"
+        else:
+            assert to_file_stdout == ""
+        assert target.read_bytes() == out.encode()
+        json.loads(out)
 
 
 class TestHankelLearnCommands:

@@ -13,6 +13,7 @@ from wfametrics import (
     with_final,
     with_initial,
 )
+from wfametrics.core import json_text, load_json, prefix_states, save_wfa
 from conftest import all_words, random_wfa
 
 
@@ -190,3 +191,86 @@ class TestValidationAndJson:
                 {"alphabet": ["a"], "dim": 2, "alpha": [1.0, 0.0], "beta": [1.0, 0.0],
                  "trans": {"a": [[1.0]]}}
             )
+
+
+class TestPrefixStates:
+    def test_rows_are_explicit_products(self, rng):
+        a = random_wfa(rng, n=3, alphabet=("a", "b", "c"))
+        word = ("b", "a", "c", "c", "a")
+        states = prefix_states(a, word)
+        assert states.shape == (len(word) + 1, a.dim)
+        for t in range(len(word) + 1):
+            product = np.eye(a.dim)
+            for sym in word[:t]:
+                product = a.trans[sym] @ product
+            np.testing.assert_allclose(states[t], product @ a.alpha, rtol=1e-13, atol=1e-15)
+        assert evaluate(a, word) == float(a.beta @ states[-1])
+
+    def test_empty_word_is_one_row(self, rng):
+        a = random_wfa(rng)
+        states = prefix_states(a, ())
+        assert states.shape == (1, a.dim)
+        np.testing.assert_array_equal(states[0], a.alpha)
+
+    def test_zero_dimensional(self):
+        a = Wfa(alphabet=("a",), alpha=np.zeros(0), beta=np.zeros(0), trans={"a": np.zeros((0, 0))})
+        assert prefix_states(a, "aa").shape == (3, 0)
+        assert prefix_states(a, ()).shape == (1, 0)
+        assert evaluate(a, "aa") == 0.0
+
+    def test_unknown_symbol(self, rng):
+        with pytest.raises(ValueError, match="unknown symbol 'z'"):
+            prefix_states(random_wfa(rng), "abz")
+
+
+def reference_all_words(alphabet, max_len):
+    """Level-by-level enumeration: each level extends every word of the last by each symbol."""
+    words = [()]
+    level = [()]
+    for _ in range(max_len):
+        level = [w + (s,) for w in level for s in alphabet]
+        words.extend(level)
+    return words
+
+
+class TestAllWords:
+    @pytest.mark.parametrize(
+        "alphabet, max_len", [(("a",), 4), (("a", "b"), 3), (("x", "b", "c"), 3), (("a", "b"), 0)]
+    )
+    def test_count_and_order(self, alphabet, max_len):
+        words = all_words(alphabet, max_len)
+        assert len(words) == sum(len(alphabet) ** length for length in range(max_len + 1))
+        assert words == reference_all_words(alphabet, max_len)
+
+
+class TestLoadJson:
+    def test_invalid_json_message(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"alphabet": ["a"],\n  "dim": 1,')
+        with pytest.raises(ValueError) as info:
+            load_json(str(bad), wfa_from_dict)
+        assert str(info.value) == (
+            f"{bad}: invalid JSON at line 2, column 12: Expecting property name enclosed in double quotes"
+        )
+
+    @pytest.mark.parametrize("content", [b"[" * 100_000, b"\xff\xfe[]"], ids=["deep", "not-utf8"])
+    def test_unreadable_json_names_the_file(self, content, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        with pytest.raises(ValueError, match="invalid JSON") as info:
+            load_json(str(bad), wfa_from_dict)
+        assert str(info.value).startswith(f"{bad}: invalid JSON: ")
+
+    def test_document_errors_are_prefixed_with_path(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError) as info:
+            load_json(str(path), wfa_from_dict)
+        assert str(info.value) == f"{path}: WFA document must be a JSON object, got list"
+
+    def test_text_round_trips_through_loader(self, rng, tmp_path):
+        a = random_wfa(rng)
+        path = tmp_path / "a.json"
+        save_wfa(a, str(path))
+        assert path.read_text() == json_text(wfa_to_dict(a))
+        assert wfa_to_dict(load_json(str(path), wfa_from_dict)) == wfa_to_dict(a)

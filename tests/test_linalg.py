@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wfametrics.linalg import DEFAULT_TOL, fix_signs, null_basis
+from wfametrics.linalg import DEFAULT_TOL, fix_signs, null_basis, sign_flips
 
 
 def full_svd_null_basis(mat, tol=DEFAULT_TOL):
@@ -39,3 +39,41 @@ class TestNullBasis:
 
     def test_zero_matrix_is_whole_space(self):
         np.testing.assert_array_equal(null_basis(np.zeros((3, 4))), np.eye(4))
+
+
+def loop_fix_signs(basis):
+    """Column-by-column sign rule: negate a column whose first largest-magnitude entry is negative."""
+    basis = np.array(basis, dtype=float, copy=True)
+    for j in range(basis.shape[1]):
+        col = basis[:, j]
+        if col.shape[0] == 0:
+            continue
+        i = int(np.argmax(np.abs(col)))
+        if col[i] < 0:
+            basis[:, j] = -col
+    return basis
+
+
+class TestSignFlips:
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            np.zeros((0, 3)),  # no rows
+            np.zeros((4, 0)),  # no columns
+            np.array([[1.0, -2.0], [-1.0, 2.0]]),  # ties in magnitude: the first entry decides
+            np.array([[0.5, -3.0, 0.0], [-4.0, 1.0, 0.0], [2.0, 2.5, -0.0]]),  # negative maxima, zeros
+            np.random.default_rng(9).standard_normal((7, 4)),
+        ],
+    )
+    def test_matches_column_loop(self, basis):
+        fixed = fix_signs(basis)
+        expected = loop_fix_signs(basis)
+        assert fixed.shape == basis.shape
+        assert fixed.tobytes() == expected.tobytes()
+        flips = sign_flips(basis)
+        assert flips.shape == (basis.shape[1],)
+        assert set(flips.tolist()) <= {-1.0, 1.0}
+        assert (basis * flips).tobytes() == expected.tobytes()
+
+    def test_tie_and_negative_maximum(self):
+        np.testing.assert_array_equal(sign_flips(np.array([[-2.0, 1.0], [2.0, -3.0]])), [-1.0, -1.0])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -390,6 +392,15 @@ class TestDistanceUpperBound:
             assert bound >= iv.lower - 1e-12
             if iv.converged:
                 assert bound >= iv.upper - 1e-9
+
+    def test_theta_is_recomputed_not_trusted(self, rng):
+        a1 = random_wfa(rng, n=3, norm_cap=0.7)
+        a2 = random_wfa(rng, n=3, norm_cap=0.6)
+        params = joint_tail_params(a1, a2, gamma=0.5)
+        bound = distance_upper_bound(a1, a2, 0.5, params)
+        assert bound > 0.0
+        forged = dataclasses.replace(params, theta=0.0)
+        assert distance_upper_bound(a1, a2, 0.5, forged) == bound
 
     def test_nu_must_be_below_one(self):
         a = one_state(1.5)
