@@ -42,10 +42,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the subspace."""
         return self.basis @ self.basis.T
@@ -98,10 +94,8 @@ def is_observable(a: Wfa, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_reachable(a: Wfa, tol: float = DEFAULT_TOL) -> bool:
-    """True when the reverse automaton is observable."""
-    from .core import reverse
-
-    return is_observable(reverse(a), tol)
+    """True when the reachable subspace is the whole state space."""
+    return reachable_subspace(a, tol).dim == a.dim
 
 
 def reachable_subspace(a: Wfa, tol: float = DEFAULT_TOL) -> Subspace:

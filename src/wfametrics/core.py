@@ -248,7 +248,7 @@ def wfa_from_dict(doc: Mapping) -> Wfa:
     check_document(doc, "WFA", ("alphabet", "dim", "alpha", "beta", "trans"))
     alphabet = symbol_list(doc, "alphabet")
     n = doc["dim"]
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"field 'dim' must be a non-negative integer, got {n!r}")
     alpha = float_array(doc["alpha"], "field 'alpha'")
     beta = float_array(doc["beta"], "field 'beta'")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bisim import reachable_subspace
 from .core import Wfa
 from .linalg import DEFAULT_TOL, spectral_norm, spectral_norms, spectral_radii
 
@@ -58,10 +59,9 @@ def extend_products(gens: np.ndarray, prods: np.ndarray) -> np.ndarray:
 
     With ``prods`` in lexicographic word order (the product for word
     ``x1..xt`` being ``T[xt] @ ... @ T[x1]``), the result is the next level in
-    the same order.
+    the same order.  ``prods`` may also be a stack of ``(n, 1)`` states.
     """
-    n = gens.shape[1]
-    return np.einsum("gij,pjk->pgik", gens, prods).reshape(-1, n, n)
+    return np.einsum("gij,pjk->pgik", gens, prods).reshape((-1,) + prods.shape[1:])
 
 
 def jsr_bounds(
@@ -153,49 +153,27 @@ def is_irreducible(mats, tol: float = DEFAULT_TOL) -> bool:
     """Whether the family has no common invariant subspace besides {0} and V.
 
     Tests whether the unital algebra generated by the matrices has dimension
-    ``n^2`` (Burnside's criterion).  ``True`` is reliable; ``False`` can be an
-    artifact of working over the reals rather than the complex field, where
-    the criterion is exact.
+    ``n^2`` (Burnside's criterion).  The algebra is the span closure of
+    ``vec(I)`` under the maps ``vec(M) -> vec(G M) = (G kron I) vec(M)``
+    (row-major ``vec``), computed by :func:`~wfametrics.bisim.reachable_subspace`
+    on that Kronecker lift, so rank decisions follow the package-wide rule and
+    ``tol <= 0`` raises ``ValueError``.  The lift has ``n^2`` states and ``k``
+    maps of size ``n^2 x n^2``: memory is O(k n^4).
+
+    ``False`` can be an artifact of working over the reals rather than the
+    complex field, where the criterion is exact.  ``True`` can be a rank
+    artifact when one matrix's entries span six or more orders of magnitude:
+    roundoff leaking out of a common invariant subspace then outgrows ``tol``.
     """
     gens = _as_square_stack(mats)
-    k, n, _ = gens.shape
-    if n == 0:
-        return False
-
-    basis_vecs: list[np.ndarray] = []
-    basis_mats: list[np.ndarray] = []
-
-    def try_add(mat: np.ndarray) -> bool:
-        vec = mat.reshape(-1)
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            return False
-        resid = vec.copy()
-        for b in basis_vecs:
-            resid -= (b @ resid) * b
-        # re-orthogonalize once for numerical safety
-        for b in basis_vecs:
-            resid -= (b @ resid) * b
-        rnorm = np.linalg.norm(resid)
-        if rnorm <= tol * norm:
-            return False
-        basis_vecs.append(resid / rnorm)
-        basis_mats.append(mat)
-        return True
-
-    try_add(np.eye(n))
-    frontier = [m for m in gens if try_add(m)]
-    while frontier and len(basis_vecs) < n * n:
-        next_frontier = []
-        for g in gens:
-            for m in frontier:
-                cand = g @ m
-                if try_add(cand):
-                    next_frontier.append(cand)
-                    if len(basis_vecs) == n * n:
-                        return True
-        frontier = next_frontier
-    return len(basis_vecs) == n * n
+    n = gens.shape[1]
+    lift = Wfa(
+        alphabet=tuple(str(i) for i in range(len(gens))),
+        alpha=np.eye(n).reshape(-1),
+        beta=np.zeros(n * n),
+        trans={str(i): np.kron(g, np.eye(n)) for i, g in enumerate(gens)},
+    )
+    return reachable_subspace(lift, tol).dim == n * n > 0
 
 
 def wfa_irreducible(a: Wfa, tol: float = DEFAULT_TOL) -> bool:

@@ -167,6 +167,11 @@ def _candidate_scalings(mats) -> list[np.ndarray]:
     return [eye] if np.allclose(balanced, eye) else [eye, balanced]
 
 
+def _conjugate(s_mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``S T S^-1`` for each ``T`` in ``stack``: its spectral norms are the ``|T|_S``."""
+    return s_mat @ stack @ np.linalg.inv(s_mat)
+
+
 def compute_tail_params(
     a: Wfa, gamma: float, depth: int = 8, *, product_cap: int = 4096
 ) -> TailBoundParams:
@@ -192,7 +197,7 @@ def compute_tail_params(
     k = stack.shape[0]
 
     for s_mat in _candidate_scalings(stack):
-        scaled = s_mat @ stack @ np.linalg.inv(s_mat)
+        scaled = _conjugate(s_mat, stack)
         prods = np.eye(n)[None]
         for m in range(1, depth + 1):
             if k**m > product_cap:
@@ -234,7 +239,7 @@ class _BoundData:
         self.tail_factor = self.chain_sum - 1.0                # G - 1
         if kernel is not None and kernel.dim > 0:
             basis = kernel.basis
-            proj = basis @ basis.T
+            proj = kernel.projector()
             self.perp_map = s_mat @ (np.eye(n) - proj)
             self.kernel_map = s_mat @ proj
             sb_pinv = np.linalg.pinv(s_mat @ basis)
@@ -269,7 +274,6 @@ def seminorm_interval(
     params: TailBoundParams | None = None,
     tol: float = DEFAULT_TOL,
     use_kernel_projection: bool = True,
-    cert_depth: int = 8,
 ) -> CertifiedInterval:
     """Certified interval for the discounted seminorm of ``v``.
 
@@ -277,7 +281,9 @@ def seminorm_interval(
     best partial sum found (witnessed by ``witness_prefix``), the upper bound
     is the largest node bound on the frontier.  Terminates when the gap is at
     most ``eps`` or after ``budget`` node expansions; a budget exit still
-    returns a valid (wide) interval with ``converged=False``.
+    returns a valid (wide) interval with ``converged=False``.  ``params``
+    defaults to ``compute_tail_params(a, gamma)``; for another certificate
+    search depth pass ``params=compute_tail_params(a, gamma, depth=d)``.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -289,7 +295,7 @@ def seminorm_interval(
     if a.dim == 0:
         return CertifiedInterval(0.0, 0.0, gamma, 0, 0, ())
     if params is None:
-        params = compute_tail_params(a, gamma, depth=cert_depth)
+        params = compute_tail_params(a, gamma)
 
     kernel = largest_bisimulation(a, tol) if use_kernel_projection else None
     data = _BoundData(a, gamma, params, kernel)
@@ -399,11 +405,10 @@ def joint_tail_params(a1: Wfa, a2: Wfa, gamma: float) -> TailBoundParams:
         raise ValueError("alphabet mismatch")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    mats = [a1.trans[s] for s in a1.alphabet] + [a2.trans[s] for s in a2.alphabet]
+    stack = np.concatenate([a1.trans_stack(), a2.trans_stack()])
     best = None
-    for s_mat in _candidate_scalings(mats):
-        s_inv = np.linalg.inv(s_mat)
-        theta = max(spectral_norm(s_mat @ m @ s_inv) for m in mats)
+    for s_mat in _candidate_scalings(stack):
+        theta = float(np.max(spectral_norms(_conjugate(s_mat, stack))))
         if gamma * theta < 1.0 - _CERT_MARGIN and (best is None or theta < best[0]):
             best = (theta, s_mat)
     if best is None:
@@ -438,10 +443,8 @@ def distance_upper_bound(a1: Wfa, a2: Wfa, gamma: float, params: TailBoundParams
         return 0.0
     s_mat = params.scaling
     s_inv = np.linalg.inv(s_mat)
-    theta = max(
-        max(spectral_norm(s_mat @ a.trans[sym] @ s_inv) for sym in a.alphabet)
-        for a in (a1, a2)
-    )
+    stack1, stack2 = a1.trans_stack(), a2.trans_stack()
+    theta = float(np.max(spectral_norms(_conjugate(s_mat, np.concatenate([stack1, stack2])))))
     nu = gamma * theta
     if nu >= 1.0:
         raise ValueError(f"nu = gamma * theta = {nu} >= 1; bound does not apply")
@@ -449,9 +452,7 @@ def distance_upper_bound(a1: Wfa, a2: Wfa, gamma: float, params: TailBoundParams
     beta_diff = float(np.linalg.norm(s_inv.T @ (a1.beta - a2.beta)))
     beta2_dual = float(np.linalg.norm(s_inv.T @ a2.beta))
     alpha_diff = float(np.linalg.norm(s_mat @ (a1.alpha - a2.alpha)))
-    tau_diff = max(
-        spectral_norm(s_mat @ (a1.trans[sym] - a2.trans[sym]) @ s_inv) for sym in a1.alphabet
-    )
+    tau_diff = float(np.max(spectral_norms(_conjugate(s_mat, stack1 - stack2))))
     return (alpha_norm * beta_diff + beta2_dual * alpha_diff) / (1.0 - nu) + (
         gamma * alpha_norm * beta2_dual * tau_diff
     ) / (1.0 - nu) ** 2
@@ -473,13 +474,13 @@ def truncated_seminorm(a: Wfa, v: np.ndarray, gamma: float, depth: int) -> float
         return 0.0
     stack = a.trans_stack()
     beta = a.beta
-    states = v[None, :]
+    states = v[None, :, None]
     totals = np.array([abs(float(beta @ v))])
     gpow = 1.0
     for _ in range(depth):
         gpow *= gamma
-        states = np.einsum("gij,pj->pgi", stack, states).reshape(-1, a.dim)
-        totals = np.repeat(totals, stack.shape[0]) + gpow * np.abs(states @ beta)
+        states = extend_products(stack, states)
+        totals = np.repeat(totals, stack.shape[0]) + gpow * np.abs(states[:, :, 0] @ beta)
     return float(np.max(totals))
 
 

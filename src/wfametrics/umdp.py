@@ -140,9 +140,11 @@ def umdp_to_dict(u: Umdp) -> dict:
 def umdp_from_dict(doc: Mapping) -> Umdp:
     check_document(doc, "UMDP", ("actions", "states", "alpha", "beta", "trans", "gamma"))
     n = doc["states"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"field 'states' must be an integer, got {n!r}")
     alpha = float_array(doc["alpha"], "field 'alpha'")
     beta = float_array(doc["beta"], "field 'beta'")
-    if not isinstance(n, int) or alpha.shape != (n,) or beta.shape != (n,):
+    if alpha.shape != (n,) or beta.shape != (n,):
         raise ValueError("fields 'alpha'/'beta' must have length 'states'")
     gamma = float_array(doc["gamma"], "field 'gamma'")
     if gamma.shape != ():

@@ -120,6 +120,24 @@ class TestObservableReachable:
         assert not is_reachable(b)
         assert is_reachable(a)  # generic random automaton
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_alpha_in_invariant_subspace_not_reachable(self, seed):
+        # span(e_1..e_r) is invariant under block upper-triangular transitions;
+        # an orthogonal change of basis hides the blocks
+        rng = np.random.default_rng(seed)
+        n, r = 5, 1 + seed % 4
+        a = random_wfa(rng, n=n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        trans = {s: m.copy() for s, m in a.trans.items()}
+        for m in trans.values():
+            m[r:, :r] = 0.0
+        alpha = np.concatenate([rng.standard_normal(r), np.zeros(n - r)])
+        b = Wfa(alphabet=a.alphabet, alpha=q @ alpha, beta=a.beta,
+                trans={s: q @ m @ q.T for s, m in trans.items()})
+        assert not is_reachable(b)
+        assert reachable_subspace(b).dim == r
+        assert is_reachable(with_initial(b, q @ rng.standard_normal(n)))
+
 
 class TestReachableSubspace:
     def test_zero_alpha(self, rng):

@@ -199,11 +199,13 @@ MALFORMED = {
     "wfa-top-level-null": ("wfa", lambda d: None),
     "wfa-alpha-object-entry": ("wfa", lambda d: {**d, "alpha": [{}]}),
     "wfa-trans-entry-object": ("wfa", lambda d: {**d, "trans": {"a": [[{}]]}}),
+    "wfa-dim-bool": ("wfa", lambda d: {**d, "dim": True}),
     "umdp-top-level-number": ("umdp", lambda d: 3),
     "umdp-top-level-null": ("umdp", lambda d: None),
     "umdp-trans-list": ("umdp", lambda d: {**d, "trans": [[[1.0]]]}),
     "umdp-actions-number": ("umdp", lambda d: {**d, "actions": 3}),
     "umdp-gamma-list": ("umdp", lambda d: {**d, "gamma": [0.5]}),
+    "umdp-states-bool": ("umdp", lambda d: {**d, "states": True}),
     "block-top-level-number": ("block", lambda d: 3),
     "block-top-level-null": ("block", lambda d: None),
     "block-prefix-number": ("block", lambda d: {**d, "prefixes": [[], 1]}),

@@ -17,6 +17,7 @@ from wfametrics import (
     seminorm_interval,
     truncated_seminorm,
 )
+from wfametrics.linalg import spectral_norm
 from wfametrics.metric import balance_scaling
 from conftest import all_words, duplicated_copy, pad_with_zero_state, random_stochastic, random_wfa
 
@@ -231,7 +232,35 @@ class TestSeminormInterval:
             seminorm_interval(a, np.ones(2), gamma=0.5)
 
 
+def level_loop_truncated_seminorm(a, v, gamma, depth):
+    """Depth-limited seminorm with states as rows, one einsum per level."""
+    stack = a.trans_stack()
+    states = v[None, :]
+    totals = np.array([abs(float(a.beta @ v))])
+    gpow = 1.0
+    for _ in range(depth):
+        gpow *= gamma
+        states = np.einsum("gij,pj->pgi", stack, states).reshape(-1, a.dim)
+        totals = np.repeat(totals, stack.shape[0]) + gpow * np.abs(states @ a.beta)
+    return float(np.max(totals))
+
+
 class TestTruncatedSeminorm:
+    @pytest.mark.parametrize("n,alphabet,depth", [
+        (1, ("a",), 6), (3, ("a", "b"), 5), (5, ("a", "b", "c"), 4), (8, ("a", "b"), 6),
+        (20, ("a", "b"), 4),
+    ])
+    def test_bit_equal_to_level_loop(self, n, alphabet, depth):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            a = random_wfa(rng, n=n, alphabet=alphabet, norm_cap=rng.uniform(0.3, 1.5))
+            v = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            gamma = rng.uniform(0.1, 0.99)
+            for d in range(depth + 1):
+                assert truncated_seminorm(a, v, gamma, d) == level_loop_truncated_seminorm(
+                    a, v, gamma, d
+                )
+
     def test_equals_value_iteration(self, rng):
         # depth-T enumeration must equal T+1 applications of the seminorm
         # operator F(s)(v) = |beta(v)| + gamma max_s s(tau_s v) to zero
@@ -360,7 +389,81 @@ class TestDistance:
             distance(a1, a2, gamma=0.5)
 
 
+def per_matrix_joint_certificate(a1, a2, gamma):
+    """Joint single-step certificate, conjugating one matrix at a time.
+
+    Returns ``(theta, scaling)`` of the smallest certifying theta, or None.
+    """
+    mats = [a1.trans[s] for s in a1.alphabet] + [a2.trans[s] for s in a2.alphabet]
+    candidates = [np.eye(a1.dim)]
+    balanced = balance_scaling(mats)
+    if not np.allclose(balanced, np.eye(a1.dim)):
+        candidates.append(balanced)
+    best = None
+    for s_mat in candidates:
+        s_inv = np.linalg.inv(s_mat)
+        theta = max(spectral_norm(s_mat @ m @ s_inv) for m in mats)
+        if gamma * theta < 1.0 - 1e-12 and (best is None or theta < best[0]):
+            best = (theta, s_mat)
+    return best
+
+
+def per_matrix_upper_bound(a1, a2, gamma, s_mat):
+    """The closed-form distance bound, conjugating one matrix at a time; None if nu >= 1."""
+    s_inv = np.linalg.inv(s_mat)
+    theta = max(spectral_norm(s_mat @ a.trans[s] @ s_inv) for a in (a1, a2) for s in a.alphabet)
+    nu = gamma * theta
+    if nu >= 1.0:
+        return None
+    alpha_norm = float(np.linalg.norm(s_mat @ a1.alpha))
+    beta_diff = float(np.linalg.norm(s_inv.T @ (a1.beta - a2.beta)))
+    beta2_dual = float(np.linalg.norm(s_inv.T @ a2.beta))
+    alpha_diff = float(np.linalg.norm(s_mat @ (a1.alpha - a2.alpha)))
+    tau_diff = max(
+        spectral_norm(s_mat @ (a1.trans[s] - a2.trans[s]) @ s_inv) for s in a1.alphabet
+    )
+    return (alpha_norm * beta_diff + beta2_dual * alpha_diff) / (1.0 - nu) + (
+        gamma * alpha_norm * beta2_dual * tau_diff
+    ) / (1.0 - nu) ** 2
+
+
+def skewed_pair(rng, n, alphabet):
+    """Two nearby automata in a badly scaled basis, so balancing is a candidate."""
+    a = random_wfa(rng, n=n, alphabet=alphabet, norm_cap=0.7)
+    d = np.diag(10.0 ** rng.uniform(-2, 2, n))
+    d_inv = np.linalg.inv(d)
+    a = Wfa(alphabet=alphabet, alpha=d @ a.alpha, beta=d_inv @ a.beta,
+            trans={s: d @ m @ d_inv for s, m in a.trans.items()})
+    b = Wfa(alphabet=alphabet, alpha=a.alpha + 0.01 * rng.standard_normal(n),
+            beta=a.beta + 0.01 * rng.standard_normal(n),
+            trans={s: m + 0.01 * rng.standard_normal((n, n)) for s, m in a.trans.items()})
+    return a, b
+
+
 class TestDistanceUpperBound:
+    @pytest.mark.parametrize("n,alphabet", [(1, ("a",)), (3, ("a", "b")), (6, ("a", "b", "c"))])
+    def test_bit_equal_to_per_matrix_reference(self, n, alphabet):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            a, b = skewed_pair(rng, n, alphabet)
+            gamma = rng.uniform(0.05, 0.5)
+            ref = per_matrix_joint_certificate(a, b, gamma)
+            if ref is None:
+                with pytest.raises(CannotCertifyError):
+                    joint_tail_params(a, b, gamma)
+                continue
+            params = joint_tail_params(a, b, gamma)
+            assert params.theta == ref[0]
+            assert np.array_equal(params.scaling, ref[1])
+            # a block certificate of one automaton supplies only the scaling
+            for p in (params, compute_tail_params(a, gamma)):
+                expected = per_matrix_upper_bound(a, b, gamma, p.scaling)
+                if expected is None:
+                    with pytest.raises(ValueError):
+                        distance_upper_bound(a, b, gamma, p)
+                else:
+                    assert distance_upper_bound(a, b, gamma, p) == expected
+
     def test_identical_automata_zero(self, rng):
         a = random_wfa(rng)
         params = joint_tail_params(a, a, gamma=0.5)
