@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bisim import reachable_subspace
 from .core import Wfa
 from .linalg import DEFAULT_TOL, spectral_norm, spectral_norms, spectral_radii
 
@@ -153,27 +152,46 @@ def is_irreducible(mats, tol: float = DEFAULT_TOL) -> bool:
     """Whether the family has no common invariant subspace besides {0} and V.
 
     Tests whether the unital algebra generated by the matrices has dimension
-    ``n^2`` (Burnside's criterion).  The algebra is the span closure of
-    ``vec(I)`` under the maps ``vec(M) -> vec(G M) = (G kron I) vec(M)``
-    (row-major ``vec``), computed by :func:`~wfametrics.bisim.reachable_subspace`
-    on that Kronecker lift, so rank decisions follow the package-wide rule and
-    ``tol <= 0`` raises ``ValueError``.  The lift has ``n^2`` states and ``k``
-    maps of size ``n^2 x n^2``: memory is O(k n^4).
+    ``n^2`` (Burnside's criterion).  Products come level by level from
+    :func:`extend_products`; one joins the basis when its residual against
+    the basis so far exceeds ``tol`` times its own norm, and only products
+    that joined are extended.  Judging each raw product against its own norm
+    makes the answer independent of how each matrix is scaled; propagating
+    orthonormalized directions instead (the span closure of the Kronecker
+    lift) amplifies roundoff and calls hidden reducible families
+    irreducible.  The basis holds up to ``n^2`` vectors of length ``n^2``.
 
     ``False`` can be an artifact of working over the reals rather than the
-    complex field, where the criterion is exact.  ``True`` can be a rank
-    artifact when one matrix's entries span six or more orders of magnitude:
-    roundoff leaking out of a common invariant subspace then outgrows ``tol``.
+    complex field, where the criterion is exact.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     gens = _as_square_stack(mats)
     n = gens.shape[1]
-    lift = Wfa(
-        alphabet=tuple(str(i) for i in range(len(gens))),
-        alpha=np.eye(n).reshape(-1),
-        beta=np.zeros(n * n),
-        trans={str(i): np.kron(g, np.eye(n)) for i, g in enumerate(gens)},
-    )
-    return reachable_subspace(lift, tol).dim == n * n > 0
+    basis = np.zeros((n * n, n * n))
+    rank = 0
+
+    def admit(prods: np.ndarray) -> np.ndarray:
+        nonlocal rank
+        kept = []
+        for prod in prods:
+            if rank == n * n:
+                break
+            vec = prod.reshape(-1)
+            resid = vec - basis[:rank].T @ (basis[:rank] @ vec)
+            resid -= basis[:rank].T @ (basis[:rank] @ resid)  # re-orthogonalize once
+            rnorm = np.linalg.norm(resid)
+            if rnorm > tol * np.linalg.norm(vec):
+                basis[rank] = resid / rnorm
+                rank += 1
+                kept.append(prod)
+        return np.array(kept).reshape(-1, n, n)
+
+    admit(np.eye(n)[None])
+    frontier = admit(gens)
+    while len(frontier) and rank < n * n:
+        frontier = admit(extend_products(gens, frontier))
+    return rank == n * n > 0
 
 
 def wfa_irreducible(a: Wfa, tol: float = DEFAULT_TOL) -> bool:

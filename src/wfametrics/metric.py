@@ -444,7 +444,9 @@ def distance_upper_bound(a1: Wfa, a2: Wfa, gamma: float, params: TailBoundParams
     s_mat = params.scaling
     s_inv = np.linalg.inv(s_mat)
     stack1, stack2 = a1.trans_stack(), a2.trans_stack()
-    theta = float(np.max(spectral_norms(_conjugate(s_mat, np.concatenate([stack1, stack2])))))
+    norms = spectral_norms(_conjugate(s_mat, np.concatenate([stack1, stack2, stack1 - stack2])))
+    k2 = 2 * len(stack1)
+    theta = float(np.max(norms[:k2]))
     nu = gamma * theta
     if nu >= 1.0:
         raise ValueError(f"nu = gamma * theta = {nu} >= 1; bound does not apply")
@@ -452,7 +454,7 @@ def distance_upper_bound(a1: Wfa, a2: Wfa, gamma: float, params: TailBoundParams
     beta_diff = float(np.linalg.norm(s_inv.T @ (a1.beta - a2.beta)))
     beta2_dual = float(np.linalg.norm(s_inv.T @ a2.beta))
     alpha_diff = float(np.linalg.norm(s_mat @ (a1.alpha - a2.alpha)))
-    tau_diff = float(np.max(spectral_norms(_conjugate(s_mat, stack1 - stack2))))
+    tau_diff = float(np.max(norms[k2:]))
     return (alpha_norm * beta_diff + beta2_dual * alpha_diff) / (1.0 - nu) + (
         gamma * alpha_norm * beta2_dual * tau_diff
     ) / (1.0 - nu) ** 2

@@ -166,10 +166,9 @@ class TestIrreducible:
     def test_matches_gram_schmidt_reference(self, n, k):
         rng = np.random.default_rng([n, k])
         for _ in range(10):
-            # one scale per matrix: when the entries of one matrix span 10^-3..10^3,
-            # both rules can call a hidden reducible family irreducible (the lift
-            # about 5 in 1000 families, Gram-Schmidt about 1 in 1000)
-            mats = [rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3) for _ in range(k)]
+            # every entry carries its own scale 10^U(-3,3)
+            mats = [rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, (n, n))
+                    for _ in range(k)]
             assert is_irreducible(mats) == _gram_schmidt_irreducible(mats)
             # span(e_1..e_r) is invariant for block upper-triangular matrices;
             # a random orthogonal change of basis hides the block structure
@@ -180,6 +179,22 @@ class TestIrreducible:
             hidden = [q @ m @ q.T for m in mats]
             assert not is_irreducible(hidden)
             assert not _gram_schmidt_irreducible(hidden)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-10, 1e10, 1e12])
+    def test_scaling_one_matrix_keeps_the_answer(self, rng, scale):
+        n = 4
+        e11 = np.zeros((n, n))
+        e11[0, 0] = 1.0
+        shift = np.roll(np.eye(n), 1, axis=0)  # with E11 the closure needs about 2n levels
+        a, b = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a[2:, :2] = b[2:, :2] = 0.0
+        hidden = [q @ a @ q.T, q @ b @ q.T]
+        assert is_irreducible([shift, scale * e11])
+        assert is_irreducible([scale * shift, e11])
+        assert is_irreducible([a + b.T, scale * b])
+        assert not is_irreducible([hidden[0], scale * hidden[1]])
+        assert not is_irreducible([scale * shift, scale * np.eye(n)])
 
     def test_tol_must_be_positive(self):
         for tol in (0.0, -1e-9):
