@@ -58,7 +58,7 @@ prefix then lexicographic order, so single-threaded runs are bit-identical.
 from __future__ import annotations
 
 import heapq
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +71,12 @@ from .linalg import DEFAULT_TOL, spectral_norm, spectral_norms
 DEFAULT_EPS = 1e-6
 DEFAULT_BUDGET = 1_000_000
 _CERT_MARGIN = 1e-12
+
+
+def _check_gamma(gamma: float) -> None:
+    """Reject a discount that is not a positive finite number (NaN included)."""
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
 
 
 class CannotCertifyError(Exception):
@@ -114,7 +120,8 @@ class CertifiedInterval:
     converged: bool = True
 
     def __post_init__(self):
-        if self.lower < -1e-12 or self.lower > self.upper + 1e-12:
+        # written so that a NaN endpoint fails the test
+        if not -1e-12 <= self.lower <= self.upper + 1e-12:
             raise ValueError(f"invalid interval [{self.lower}, {self.upper}]")
 
     @property
@@ -186,8 +193,7 @@ def compute_tail_params(
     products and their norms at each level m; each level is formed once, by
     extending the one before it, and the level-1 maximum norm is ``K``.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_gamma(gamma)
     if depth < 1:
         raise ValueError("depth must be at least 1")
     n = a.dim
@@ -236,7 +242,7 @@ class _BoundData:
         s_inv = np.linalg.inv(s_mat) if n else np.eye(0)
         self.beta_dual = float(np.linalg.norm(s_inv.T @ a.beta))
         self.chain_sum = _discounted_chain_sum(gamma, params)  # G
-        self.tail_factor = self.chain_sum - 1.0                # G - 1
+        self.perp_coeff = self.beta_dual * (self.chain_sum - 1.0)  # |beta|_S* (G - 1)
         if kernel is not None and kernel.dim > 0:
             basis = kernel.basis
             proj = kernel.projector()
@@ -257,10 +263,16 @@ class _BoundData:
             self.resid_coeff = 0.0
 
     def remaining(self, state: np.ndarray) -> float:
-        """Upper bound on R(u) = sup_z sum_{j>=1} gamma^j |beta(tau_{z<=j} u)|."""
-        out = self.beta_dual * self.tail_factor * float(np.linalg.norm(self.perp_map @ state))
+        """Upper bound on R(u) = sup_z sum_{j>=1} gamma^j |beta(tau_{z<=j} u)|.
+
+        ``sqrt(y.dot(y))`` is what ``np.linalg.norm`` computes for a real
+        vector; :func:`seminorm_interval` inlines this formula for the children.
+        """
+        y = self.perp_map.dot(state)
+        out = self.perp_coeff * math.sqrt(y.dot(y))
         if self.kernel_map is not None:
-            out += self.resid_coeff * float(np.linalg.norm(self.kernel_map @ state))
+            y = self.kernel_map.dot(state)
+            out += self.resid_coeff * math.sqrt(y.dot(y))
         return out
 
 
@@ -285,13 +297,16 @@ def seminorm_interval(
     defaults to ``compute_tail_params(a, gamma)``; for another certificate
     search depth pass ``params=compute_tail_params(a, gamma, depth=d)``.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_gamma(gamma)
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     if budget < 0:
         raise ValueError("budget must be non-negative")
     v = np.asarray(v, dtype=float)
     if v.shape != (a.dim,):
         raise ValueError(f"vector has shape {v.shape}, expected ({a.dim},)")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector has non-finite entries")
     if a.dim == 0:
         return CertifiedInterval(0.0, 0.0, gamma, 0, 0, ())
     if params is None:
@@ -305,33 +320,49 @@ def seminorm_interval(
 
     root_p = abs(float(beta @ v))
     lower = root_p
-    witness: tuple[str, ...] = ()
     upper = root_p + data.remaining(v)
-    depth_explored = 0
+    best = (0, 0)  # (length, word index) of the witness
     nodes_expanded = 0
 
-    # heap entries: (-node_upper, depth, word, gamma^(depth+1), state, partial)
-    heap = [(-upper, 0, (), gamma, v, root_p)]
+    # The node bound of _BoundData.remaining, inlined: this loop is nearly all
+    # of the run time, and a call plus np.linalg.norm per child dominated it.
+    k = len(symbols)
+    coef, perp_map = data.perp_coeff, data.perp_map
+    kernel_map, resid_coeff = data.kernel_map, data.resid_coeff
+    heappush, heappop, sqrt = heapq.heappush, heapq.heappop, math.sqrt
+    # gpows[d] = gamma^(d+1) weighs the children of a depth-d node; it grows by
+    # one entry at the first expansion at each depth.
+    gpows = [gamma]
+
+    # heap entries: (-node_upper, depth, word index, state, partial), where a
+    # word s_1..s_d has index sum_j i(s_j) k^(d-j) with i the position in the
+    # sorted alphabet
+    heap = [(-upper, 0, 0, v, root_p)]
     while heap and nodes_expanded < budget:
-        neg_u, d, word, gpow, state, partial = heapq.heappop(heap)
-        upper = min(upper, -neg_u)
+        neg_u, d, idx, state, partial = heappop(heap)
+        if -neg_u < upper:
+            upper = -neg_u
         if upper - lower <= eps:
             break
+        gpow = gpows[d]
+        if d + 1 == len(gpows):
+            gpows.append(gpow * gamma)
         children = stack @ state
-        bvals = np.abs(children @ beta)
-        for i, sym in enumerate(symbols):
+        bvals = np.abs(children.dot(beta)).tolist()
+        child_d, base = d + 1, idx * k
+        for i in range(k):
             child_state = children[i]
-            child_p = partial + gpow * float(bvals[i])
+            child_p = partial + gpow * bvals[i]
             if child_p > lower:
                 lower = child_p
-                witness = word + (sym,)
-            child_upper = child_p + gpow * data.remaining(child_state)
-            heapq.heappush(
-                heap,
-                (-child_upper, d + 1, word + (sym,), gpow * gamma, child_state, child_p),
-            )
+                best = (child_d, base + i)
+            y = perp_map.dot(child_state)
+            rem = coef * sqrt(y.dot(y))
+            if kernel_map is not None:
+                y = kernel_map.dot(child_state)
+                rem += resid_coeff * sqrt(y.dot(y))
+            heappush(heap, (-(child_p + gpow * rem), child_d, base + i, child_state, child_p))
         nodes_expanded += 1
-        depth_explored = max(depth_explored, d + 1)
 
     if heap:
         upper = min(upper, -heap[0][0])
@@ -340,11 +371,20 @@ def seminorm_interval(
         lower=lower,
         upper=upper,
         gamma=gamma,
-        depth_explored=depth_explored,
+        depth_explored=len(gpows) - 1,
         nodes_expanded=nodes_expanded,
-        witness_prefix=witness,
+        witness_prefix=_decode_word(*best, symbols),
         converged=(upper - lower) <= eps,
     )
+
+
+def _decode_word(length: int, idx: int, symbols: tuple[str, ...]) -> tuple[str, ...]:
+    """The word of ``length`` symbols whose base-k digits are ``idx``."""
+    word = []
+    for _ in range(length):
+        idx, digit = divmod(idx, len(symbols))
+        word.append(symbols[digit])
+    return tuple(reversed(word))
 
 
 def _canonical_key(a: Wfa):
@@ -403,8 +443,7 @@ def joint_tail_params(a1: Wfa, a2: Wfa, gamma: float) -> TailBoundParams:
         raise ValueError(f"dimension mismatch: {a1.dim} vs {a2.dim}")
     if a1.alphabet != a2.alphabet:
         raise ValueError("alphabet mismatch")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_gamma(gamma)
     stack = np.concatenate([a1.trans_stack(), a2.trans_stack()])
     best = None
     for s_mat in _candidate_scalings(stack):

@@ -178,6 +178,25 @@ class TestValidationErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: --threads")
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("seminorm", "--eps", "nan"),
+        ("seminorm", "--gamma", "-0.5"),
+        ("distance", "--gamma", "nan"),
+    ])
+    def test_invalid_number_exit_one(self, growth_files, tmp_path, command, flag, value, capsys):
+        a, a1 = growth_files
+        vec = tmp_path / "v.json"
+        vec.write_text("[1.0]")
+        argv = {
+            "seminorm": ["seminorm", a, "--vector", str(vec), "--gamma", "0.5"],
+            "distance": ["distance", a, a1, "--gamma", "0.5"],
+        }[command]
+        assert main(argv + [flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_threads_one_accepted(self, growth_files, capsys):
         _, a1 = growth_files
         assert main(["--threads", "1", "eval", a1, "--word", "aa"]) == 0

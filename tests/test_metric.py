@@ -1,24 +1,28 @@
 import dataclasses
+import heapq
 
 import numpy as np
 import pytest
 
 from wfametrics import (
     CannotCertifyError,
+    CertifiedInterval,
     Wfa,
     admissible_gamma_bound,
     compute_tail_params,
     difference,
     distance,
     distance_upper_bound,
+    evaluate,
     joint_tail_params,
     largest_bisimulation,
     parameter_continuity_experiment,
     seminorm_interval,
     truncated_seminorm,
+    with_initial,
 )
-from wfametrics.linalg import spectral_norm
-from wfametrics.metric import balance_scaling
+from wfametrics.linalg import DEFAULT_TOL, spectral_norm
+from wfametrics.metric import DEFAULT_BUDGET, _BoundData, balance_scaling
 from conftest import all_words, duplicated_copy, pad_with_zero_state, random_stochastic, random_wfa
 
 
@@ -230,6 +234,147 @@ class TestSeminormInterval:
         a = random_wfa(rng, n=3)
         with pytest.raises(ValueError):
             seminorm_interval(a, np.ones(2), gamma=0.5)
+
+    @pytest.mark.parametrize("gamma", [-0.5, 0.0, np.nan, np.inf])
+    def test_invalid_gamma_rejected_with_params(self, rng, gamma):
+        a = random_wfa(rng, n=3)
+        params = compute_tail_params(a, 0.5)
+        with pytest.raises(ValueError, match="gamma"):
+            seminorm_interval(a, np.ones(3), gamma, params=params)
+
+    @pytest.mark.parametrize("eps", [np.nan, 0.0, -1e-6])
+    def test_invalid_eps_rejected(self, rng, eps):
+        a = random_wfa(rng, n=3)
+        with pytest.raises(ValueError, match="eps"):
+            seminorm_interval(a, np.ones(3), 0.5, eps)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, rng, bad):
+        a = random_wfa(rng, n=3)
+        with pytest.raises(ValueError, match="non-finite"):
+            seminorm_interval(a, np.array([1.0, bad, 0.0]), 0.5)
+
+    @pytest.mark.parametrize("lower,upper", [(np.nan, 1.0), (0.0, np.nan), (np.nan, np.nan)])
+    def test_interval_rejects_nan_endpoints(self, lower, upper):
+        with pytest.raises(ValueError):
+            CertifiedInterval(lower, upper, 0.5, 0, 0, ())
+
+
+def tuple_word_seminorm_interval(a, v, gamma, eps, budget, use_kernel_projection=True):
+    """The branch-and-bound loop with tuple words and ``np.linalg.norm`` bounds.
+
+    Kept as the reference for :func:`seminorm_interval`, which must return
+    the same bits: each heap entry carries its word as a tuple and its power
+    of gamma, and each child bound calls ``np.linalg.norm``.
+    """
+    params = compute_tail_params(a, gamma)
+    kernel = largest_bisimulation(a, DEFAULT_TOL) if use_kernel_projection else None
+    data = _BoundData(a, gamma, params, kernel)
+
+    def remaining(state):
+        out = data.beta_dual * (data.chain_sum - 1.0) * float(np.linalg.norm(data.perp_map @ state))
+        if data.kernel_map is not None:
+            out += data.resid_coeff * float(np.linalg.norm(data.kernel_map @ state))
+        return out
+
+    stack = a.trans_stack()
+    beta = a.beta
+    symbols = a.alphabet
+
+    root_p = abs(float(beta @ v))
+    lower = root_p
+    witness = ()
+    upper = root_p + remaining(v)
+    depth_explored = 0
+    nodes_expanded = 0
+
+    heap = [(-upper, 0, (), gamma, v, root_p)]
+    while heap and nodes_expanded < budget:
+        neg_u, d, word, gpow, state, partial = heapq.heappop(heap)
+        upper = min(upper, -neg_u)
+        if upper - lower <= eps:
+            break
+        children = stack @ state
+        bvals = np.abs(children @ beta)
+        for i, sym in enumerate(symbols):
+            child_state = children[i]
+            child_p = partial + gpow * float(bvals[i])
+            if child_p > lower:
+                lower = child_p
+                witness = word + (sym,)
+            child_upper = child_p + gpow * remaining(child_state)
+            heapq.heappush(
+                heap,
+                (-child_upper, d + 1, word + (sym,), gpow * gamma, child_state, child_p),
+            )
+        nodes_expanded += 1
+        depth_explored = max(depth_explored, d + 1)
+
+    if heap:
+        upper = min(upper, -heap[0][0])
+    upper = max(upper, lower)
+    return CertifiedInterval(
+        lower=lower,
+        upper=upper,
+        gamma=gamma,
+        depth_explored=depth_explored,
+        nodes_expanded=nodes_expanded,
+        witness_prefix=witness,
+        converged=(upper - lower) <= eps,
+    )
+
+
+def _tied(a):
+    """``a`` with its second symbol given the first one's matrix: sibling bounds tie exactly."""
+    trans = dict(a.trans)
+    trans[a.alphabet[1]] = trans[a.alphabet[0]]
+    return Wfa(alphabet=a.alphabet, alpha=a.alpha, beta=a.beta, trans=trans)
+
+
+BNB_FAMILIES = {
+    # name: (alphabet, make automaton, use_kernel_projection)
+    "k1": (("a",), lambda a: a, True),
+    "k2-multichar": (("aa", "ab"), lambda a: a, True),
+    "k3-multichar": (("aa", "ab", "b"), lambda a: a, True),
+    "k3": (("a", "b", "c"), lambda a: a, True),
+    "duplicated-kernel": (("a", "b"), duplicated_copy, True),
+    "duplicated-no-projection": (("a", "b"), duplicated_copy, False),
+    "plain-no-projection": (("aa", "ab", "b"), lambda a: a, False),
+    "tied-k2": (("aa", "ab"), _tied, True),
+    "tied-k3": (("aa", "ab", "b"), _tied, True),
+}
+
+
+class TestBranchAndBoundLoop:
+    @pytest.mark.parametrize("family", sorted(BNB_FAMILIES))
+    def test_bit_equal_to_tuple_word_loop(self, family):
+        alphabet, make, projection = BNB_FAMILIES[family]
+        rng = np.random.default_rng([5, len(family), ord(family[-1])])
+        exits = 0
+        for case in range(12):
+            a = make(random_wfa(rng, n=int(rng.integers(1, 5)), alphabet=alphabet,
+                                norm_cap=rng.uniform(0.3, 1.1)))
+            v = rng.standard_normal(a.dim)
+            gamma = rng.uniform(0.2, 0.8)
+            # every third case is a budget exit: an eps no run reaches, a small budget
+            eps, budget = (1e-15, int(rng.integers(1, 20))) if case % 3 == 0 else (1e-7, 4000)
+            got = seminorm_interval(a, v, gamma, eps, budget, use_kernel_projection=projection)
+            assert got == tuple_word_seminorm_interval(a, v, gamma, eps, budget, projection)
+            exits += not got.converged
+            if family.startswith("tied"):
+                # the twin word spelled with alphabet[0] is lexicographically smaller
+                assert alphabet[1] not in got.witness_prefix
+        assert exits >= 3
+
+    def test_tie_break_picks_lexicographically_smallest_witness(self):
+        # one state, both symbols scale by 0.5: every word of a length has the
+        # same value, so the witness must be the first one, all "aa"
+        a = Wfa(alphabet=("ab", "aa"), alpha=[1.0], beta=[1.0],
+                trans={"aa": [[0.5]], "ab": [[0.5]]})
+        iv = seminorm_interval(a, np.ones(1), 0.5, eps=1e-9)
+        assert iv.witness_prefix == ("aa",) * len(iv.witness_prefix)
+        assert len(iv.witness_prefix) >= 10
+        assert iv == tuple_word_seminorm_interval(a, np.ones(1), 0.5, 1e-9, DEFAULT_BUDGET)
 
 
 def level_loop_truncated_seminorm(a, v, gamma, depth):
