@@ -51,8 +51,11 @@ resolutions used anywhere in this package.  Set
 ``use_kernel_projection=False`` to force ``W = {0}`` (no residual terms at
 all).
 
-Node ordering is best-first by node upper bound, ties broken by shorter
-prefix then lexicographic order, so single-threaded runs are bit-identical.
+Node ordering is best-first by node upper bound, ties broken by depth and
+then by the word's base-k index (its symbols' positions in the sorted
+alphabet read as base-k digits, first symbol most significant).  At equal
+depth index order is lexicographic order, so among tied words the smallest
+is expanded first and single-threaded runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -296,6 +299,8 @@ def seminorm_interval(
     returns a valid (wide) interval with ``converged=False``.  ``params``
     defaults to ``compute_tail_params(a, gamma)``; for another certificate
     search depth pass ``params=compute_tail_params(a, gamma, depth=d)``.
+    Raises ``ValueError`` unless ``gamma`` is positive and finite, ``eps`` is
+    positive and ``v`` is finite.
     """
     _check_gamma(gamma)
     if not eps > 0:
@@ -326,6 +331,8 @@ def seminorm_interval(
 
     # The node bound of _BoundData.remaining, inlined: this loop is nearly all
     # of the run time, and a call plus np.linalg.norm per child dominated it.
+    # ndarray.dot runs the same BLAS gemv as @ with less dispatch; one gemm
+    # over all k children would change the last bits of the bounds.
     k = len(symbols)
     coef, perp_map = data.perp_coeff, data.perp_map
     kernel_map, resid_coeff = data.kernel_map, data.resid_coeff
@@ -363,9 +370,12 @@ def seminorm_interval(
                 rem += resid_coeff * sqrt(y.dot(y))
             heappush(heap, (-(child_p + gpow * rem), child_d, base + i, child_state, child_p))
         nodes_expanded += 1
-
-    if heap:
-        upper = min(upper, -heap[0][0])
+    else:
+        # Budget or frontier exhausted: every popped node was expanded, so the
+        # heap is the whole frontier.  After the break above the popped node is
+        # still on the frontier but not in the heap, and its bound is the largest.
+        if heap:
+            upper = min(upper, -heap[0][0])
     upper = max(upper, lower)
     return CertifiedInterval(
         lower=lower,

@@ -265,7 +265,9 @@ def tuple_word_seminorm_interval(a, v, gamma, eps, budget, use_kernel_projection
 
     Kept as the reference for :func:`seminorm_interval`, which must return
     the same bits: each heap entry carries its word as a tuple and its power
-    of gamma, and each child bound calls ``np.linalg.norm``.
+    of gamma, and each child bound calls ``np.linalg.norm``.  Only the heap
+    top after a budget exit tightens ``upper``; see
+    ``test_stop_on_gap_keeps_popped_bound``.
     """
     params = compute_tail_params(a, gamma)
     kernel = largest_bisimulation(a, DEFAULT_TOL) if use_kernel_projection else None
@@ -309,9 +311,9 @@ def tuple_word_seminorm_interval(a, v, gamma, eps, budget, use_kernel_projection
             )
         nodes_expanded += 1
         depth_explored = max(depth_explored, d + 1)
-
-    if heap:
-        upper = min(upper, -heap[0][0])
+    else:
+        if heap:
+            upper = min(upper, -heap[0][0])
     upper = max(upper, lower)
     return CertifiedInterval(
         lower=lower,
@@ -375,6 +377,42 @@ class TestBranchAndBoundLoop:
         assert iv.witness_prefix == ("aa",) * len(iv.witness_prefix)
         assert len(iv.witness_prefix) >= 10
         assert iv == tuple_word_seminorm_interval(a, np.ones(1), 0.5, 1e-9, DEFAULT_BUDGET)
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+    def test_stop_on_gap_keeps_popped_bound(self, gamma, eps):
+        # always taking "a" is optimal: s = sum_t (gamma/2)^t.  Stopping on the
+        # gap once dropped the popped node and took the next heap entry's
+        # smaller bound, which put upper below this value by 1e-10 to 1e-3
+        # relative; the bound is not rounded outward, so allow a few ulps.
+        a = Wfa(alphabet=("a", "b"), alpha=[1.0], beta=[1.0], trans={"a": [[0.5]], "b": [[0.25]]})
+        iv = seminorm_interval(a, np.ones(1), gamma, eps)
+        exact = 1.0 / (1.0 - gamma / 2)
+        assert iv.converged
+        assert iv.lower <= exact <= iv.upper * (1 + 1e-15)
+
+    def test_sound_on_seeded_sweep(self):
+        """Truncated value below ``upper`` and a witness that re-propagates to ``lower``."""
+        rng = np.random.default_rng(424242)
+        for case in range(200):
+            alphabet = (("a",), ("a", "b"), ("aa", "ab", "b"))[case % 3]
+            a = random_wfa(rng, n=int(rng.integers(1, 5)), alphabet=alphabet,
+                           norm_cap=rng.uniform(0.3, 1.0))
+            if case % 4 == 1:
+                a = duplicated_copy(a)
+            elif case % 4 == 2:  # a near-copy: the numerical kernel has small residuals
+                a = duplicated_copy(a)
+                noise = 10.0 ** rng.uniform(-12, -8)
+                a = Wfa(alphabet=a.alphabet, alpha=a.alpha, beta=a.beta,
+                        trans={s: m + noise * rng.standard_normal(m.shape) for s, m in a.trans.items()})
+            v = rng.standard_normal(a.dim)
+            gamma = rng.uniform(0.2, 0.7)
+            iv = seminorm_interval(a, v, gamma, budget=5000, use_kernel_projection=case % 5 != 0)
+            assert truncated_seminorm(a, v, gamma, 8) <= iv.upper
+            start = with_initial(a, v)
+            word = iv.witness_prefix
+            value = sum(gamma**t * abs(evaluate(start, word[:t])) for t in range(len(word) + 1))
+            assert value == pytest.approx(iv.lower, rel=1e-12, abs=0.0)
 
 
 def level_loop_truncated_seminorm(a, v, gamma, depth):
