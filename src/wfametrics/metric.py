@@ -82,6 +82,16 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
 
 
+def _checked_vector(a: Wfa, v) -> np.ndarray:
+    """``v`` as a float vector; it must be finite and of length ``a.dim``."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (a.dim,):
+        raise ValueError(f"vector has shape {v.shape}, expected ({a.dim},)")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector has non-finite entries")
+    return v
+
+
 class CannotCertifyError(Exception):
     """Raised when no tail certificate with gamma * theta < 1 was found.
 
@@ -307,11 +317,7 @@ def seminorm_interval(
         raise ValueError(f"eps must be positive, got {eps}")
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (a.dim,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({a.dim},)")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite entries")
+    v = _checked_vector(a, v)
     if a.dim == 0:
         return CertifiedInterval(0.0, 0.0, gamma, 0, 0, ())
     if params is None:
@@ -487,6 +493,7 @@ def distance_upper_bound(a1: Wfa, a2: Wfa, gamma: float, params: TailBoundParams
         raise ValueError(f"dimension mismatch: {a1.dim} vs {a2.dim}")
     if a1.alphabet != a2.alphabet:
         raise ValueError("alphabet mismatch")
+    _check_gamma(gamma)
     n = a1.dim
     if n == 0:
         return 0.0
@@ -516,9 +523,8 @@ def truncated_seminorm(a: Wfa, v: np.ndarray, gamma: float, depth: int) -> float
     depth, and equals ``depth + 1`` applications of the seminorm iteration
     operator to the zero seminorm.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (a.dim,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({a.dim},)")
+    _check_gamma(gamma)
+    v = _checked_vector(a, v)
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if a.dim == 0:

@@ -351,7 +351,7 @@ class TestBranchAndBoundLoop:
     @pytest.mark.parametrize("family", sorted(BNB_FAMILIES))
     def test_bit_equal_to_tuple_word_loop(self, family):
         alphabet, make, projection = BNB_FAMILIES[family]
-        rng = np.random.default_rng([5, len(family), ord(family[-1])])
+        rng = np.random.default_rng([5, sorted(BNB_FAMILIES).index(family)])
         exits = 0
         for case in range(12):
             a = make(random_wfa(rng, n=int(rng.integers(1, 5)), alphabet=alphabet,
@@ -472,6 +472,14 @@ class TestTruncatedSeminorm:
         assert truncated_seminorm(a, -v, 0.5, 4) == base
         c = 1.37
         assert truncated_seminorm(a, c * v, 0.5, 4) == pytest.approx(c * base, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma,v", [
+        (np.nan, [1.0, 0.0, 0.0]), (-0.5, [1.0, 0.0, 0.0]), (0.5, [np.nan, 0.0, 0.0]),
+    ])
+    def test_invalid_input_rejected(self, rng, gamma, v):
+        a = random_wfa(rng, n=3)
+        with pytest.raises(ValueError):
+            truncated_seminorm(a, np.array(v), gamma, 3)
 
     def test_subadditivity(self, rng):
         a = random_wfa(rng, n=3)
@@ -693,6 +701,15 @@ class TestDistanceUpperBound:
         params = joint_tail_params(a, a, gamma=0.5)
         with pytest.raises(ValueError):
             distance_upper_bound(a, a, 0.7, params)
+
+    @pytest.mark.parametrize("gamma", [np.nan, -0.5, 0.0])
+    def test_invalid_gamma_rejected(self, gamma):
+        # a NaN gamma once passed the nu >= 1 check and returned NaN, a
+        # negative one returned a negative bound
+        a1, a2 = one_state(0.5), one_state(0.4)
+        params = joint_tail_params(a1, a2, gamma=0.5)
+        with pytest.raises(ValueError, match="gamma"):
+            distance_upper_bound(a1, a2, gamma, params)
 
     def test_cannot_certify_joint(self):
         a = one_state(1.5)
