@@ -78,6 +78,9 @@ class Wfa:
         beta = _freeze(self.beta)
         if alpha.ndim != 1 or beta.ndim != 1:
             raise ValueError("alpha and beta must be vectors")
+        for name, vec in (("alpha", alpha), ("beta", beta)):
+            if not np.all(np.isfinite(vec)):
+                raise ValueError(f"{name} has non-finite entries")
         n = alpha.shape[0]
         if beta.shape[0] != n:
             raise ValueError(f"alpha has length {n} but beta has length {beta.shape[0]}")
@@ -90,6 +93,8 @@ class Wfa:
             mat = _freeze(self.trans[sym])
             if mat.shape != (n, n):
                 raise ValueError(f"transition for {sym!r} has shape {mat.shape}, expected ({n}, {n})")
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(f"transition for {sym!r} has non-finite entries")
             trans[sym] = mat
         object.__setattr__(self, "alphabet", symbols)
         object.__setattr__(self, "alpha", alpha)

@@ -27,6 +27,15 @@ whose discounted sum is the closed form
 
 Node bound
 ----------
+:func:`seminorm_interval` runs one search loop over any :class:`NodeBound`:
+``root(v)`` returns the root's partial value ``|beta . v|`` and a bound on
+``R(v)`` (defined below), and ``children(states)`` returns the same two
+numbers for all ``k`` children of a node as two lists, in one call per
+node.  The default is the generic bound below, valid for every automaton;
+``node_bound=`` is the extension point for bounds that know more about the
+automaton (:mod:`wfametrics.umdp` passes an alpha-vector bound that uses
+the non-negativity of distributions and rewards).
+
 For a prefix ``y`` of length ``d`` with state ``u = tau_y v`` and partial value
 ``P(y) = sum_{t<=d} gamma^t |beta(tau_{y<=t} v)|``, the remaining supremum is
 ``gamma^d * R(u)`` with ``R(u) = sup_z sum_{j>=1} gamma^j |beta(tau_{z<=j} u)|``.
@@ -63,6 +72,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -246,13 +256,24 @@ def _discounted_chain_sum(gamma: float, params: TailBoundParams) -> float:
     return head / (1.0 - gt**m)
 
 
+class NodeBound(Protocol):
+    """A branch-and-bound node bound; see "Node bound" in the module docstring."""
+
+    def root(self, v: np.ndarray) -> tuple[float, float]:
+        """``(|beta . v|, upper bound on R(v))`` for the root state ``v``."""
+
+    def children(self, states: np.ndarray) -> tuple[list[float], list[float]]:
+        """``|beta . u|`` and the bound on ``R(u)`` for each row ``u`` of ``states``."""
+
+
 class _BoundData:
-    """Precomputed constants for the branch-and-bound node bound."""
+    """The generic node bound: precomputed constants of the chain bound."""
 
     def __init__(self, a: Wfa, gamma: float, params: TailBoundParams, kernel: Subspace | None):
         n = a.dim
         s_mat = params.scaling
         s_inv = np.linalg.inv(s_mat) if n else np.eye(0)
+        self.beta = a.beta
         self.beta_dual = float(np.linalg.norm(s_inv.T @ a.beta))
         self.chain_sum = _discounted_chain_sum(gamma, params)  # G
         self.perp_coeff = self.beta_dual * (self.chain_sum - 1.0)  # |beta|_S* (G - 1)
@@ -275,18 +296,27 @@ class _BoundData:
             self.kernel_map = None
             self.resid_coeff = 0.0
 
-    def remaining(self, state: np.ndarray) -> float:
-        """Upper bound on R(u) = sup_z sum_{j>=1} gamma^j |beta(tau_{z<=j} u)|.
+    def root(self, v: np.ndarray) -> tuple[float, float]:
+        return abs(float(self.beta @ v)), self.children(v[None])[1][0]
 
-        ``sqrt(y.dot(y))`` is what ``np.linalg.norm`` computes for a real
-        vector; :func:`seminorm_interval` inlines this formula for the children.
-        """
-        y = self.perp_map.dot(state)
-        out = self.perp_coeff * math.sqrt(y.dot(y))
-        if self.kernel_map is not None:
-            y = self.kernel_map.dot(state)
-            out += self.resid_coeff * math.sqrt(y.dot(y))
-        return out
+    def children(self, states: np.ndarray) -> tuple[list[float], list[float]]:
+        # This runs once per expanded node.  sqrt(y.dot(y)) is what
+        # np.linalg.norm computes for a real vector, without its call overhead;
+        # ndarray.dot runs the same BLAS gemv as @ with less dispatch; one gemm
+        # over all k children would change the last bits of the bounds.
+        coef, perp_map = self.perp_coeff, self.perp_map
+        kernel_map, resid_coeff = self.kernel_map, self.resid_coeff
+        sqrt = math.sqrt
+        rems = []
+        for i in range(len(states)):  # indexing makes faster views than iterating
+            state = states[i]
+            y = perp_map.dot(state)
+            rem = coef * sqrt(y.dot(y))
+            if kernel_map is not None:
+                y = kernel_map.dot(state)
+                rem += resid_coeff * sqrt(y.dot(y))
+            rems.append(rem)
+        return np.abs(states.dot(self.beta)).tolist(), rems
 
 
 def seminorm_interval(
@@ -299,6 +329,7 @@ def seminorm_interval(
     params: TailBoundParams | None = None,
     tol: float = DEFAULT_TOL,
     use_kernel_projection: bool = True,
+    node_bound: NodeBound | None = None,
 ) -> CertifiedInterval:
     """Certified interval for the discounted seminorm of ``v``.
 
@@ -309,7 +340,12 @@ def seminorm_interval(
     returns a valid (wide) interval with ``converged=False``.  ``params``
     defaults to ``compute_tail_params(a, gamma)``; for another certificate
     search depth pass ``params=compute_tail_params(a, gamma, depth=d)``.
-    Raises ``ValueError`` unless ``gamma`` is positive and finite, ``eps`` is
+
+    ``node_bound`` replaces the generic node bound (an extension point; see
+    "Node bound" in the module docstring).  ``params``, ``tol`` and
+    ``use_kernel_projection`` configure only the generic bound, so passing
+    any of them with ``node_bound`` raises ``ValueError``.  Also raises
+    ``ValueError`` unless ``gamma`` is positive and finite, ``eps`` is
     positive and ``v`` is finite.
     """
     _check_gamma(gamma)
@@ -318,31 +354,40 @@ def seminorm_interval(
     if budget < 0:
         raise ValueError("budget must be non-negative")
     v = _checked_vector(a, v)
+    if node_bound is not None:
+        ignored = [
+            name
+            for name, given in (
+                ("params", params is not None),
+                ("tol", tol != DEFAULT_TOL),
+                ("use_kernel_projection", not use_kernel_projection),
+            )
+            if given
+        ]
+        if ignored:
+            raise ValueError(
+                f"{', '.join(ignored)} configure the generic node bound and are ignored "
+                "with node_bound"
+            )
     if a.dim == 0:
         return CertifiedInterval(0.0, 0.0, gamma, 0, 0, ())
-    if params is None:
-        params = compute_tail_params(a, gamma)
-
-    kernel = largest_bisimulation(a, tol) if use_kernel_projection else None
-    data = _BoundData(a, gamma, params, kernel)
+    if node_bound is None:
+        if params is None:
+            params = compute_tail_params(a, gamma)
+        kernel = largest_bisimulation(a, tol) if use_kernel_projection else None
+        node_bound = _BoundData(a, gamma, params, kernel)
     stack = a.trans_stack()
-    beta = a.beta
     symbols = a.alphabet
 
-    root_p = abs(float(beta @ v))
+    root_p, root_rem = node_bound.root(v)
     lower = root_p
-    upper = root_p + data.remaining(v)
+    upper = root_p + root_rem
     best = (0, 0)  # (length, word index) of the witness
     nodes_expanded = 0
 
-    # The node bound of _BoundData.remaining, inlined: this loop is nearly all
-    # of the run time, and a call plus np.linalg.norm per child dominated it.
-    # ndarray.dot runs the same BLAS gemv as @ with less dispatch; one gemm
-    # over all k children would change the last bits of the bounds.
     k = len(symbols)
-    coef, perp_map = data.perp_coeff, data.perp_map
-    kernel_map, resid_coeff = data.kernel_map, data.resid_coeff
-    heappush, heappop, sqrt = heapq.heappush, heapq.heappop, math.sqrt
+    bound_children = node_bound.children
+    heappush, heappop = heapq.heappush, heapq.heappop
     # gpows[d] = gamma^(d+1) weighs the children of a depth-d node; it grows by
     # one entry at the first expansion at each depth.
     gpows = [gamma]
@@ -361,20 +406,14 @@ def seminorm_interval(
         if d + 1 == len(gpows):
             gpows.append(gpow * gamma)
         children = stack @ state
-        bvals = np.abs(children.dot(beta)).tolist()
+        bvals, rems = bound_children(children)
         child_d, base = d + 1, idx * k
         for i in range(k):
-            child_state = children[i]
             child_p = partial + gpow * bvals[i]
             if child_p > lower:
                 lower = child_p
                 best = (child_d, base + i)
-            y = perp_map.dot(child_state)
-            rem = coef * sqrt(y.dot(y))
-            if kernel_map is not None:
-                y = kernel_map.dot(child_state)
-                rem += resid_coeff * sqrt(y.dot(y))
-            heappush(heap, (-(child_p + gpow * rem), child_d, base + i, child_state, child_p))
+            heappush(heap, (-(child_p + gpow * rems[i]), child_d, base + i, children[i], child_p))
         nodes_expanded += 1
     else:
         # Budget or frontier exhausted: every popped node was expanded, so the

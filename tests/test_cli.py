@@ -219,12 +219,16 @@ MALFORMED = {
     "wfa-alpha-object-entry": ("wfa", lambda d: {**d, "alpha": [{}]}),
     "wfa-trans-entry-object": ("wfa", lambda d: {**d, "trans": {"a": [[{}]]}}),
     "wfa-dim-bool": ("wfa", lambda d: {**d, "dim": True}),
+    "wfa-beta-nan": ("wfa", lambda d: {**d, "beta": [float("nan")]}),
+    "wfa-trans-inf": ("wfa", lambda d: {**d, "trans": {"a": [[float("inf")]]}}),
     "umdp-top-level-number": ("umdp", lambda d: 3),
     "umdp-top-level-null": ("umdp", lambda d: None),
     "umdp-trans-list": ("umdp", lambda d: {**d, "trans": [[[1.0]]]}),
     "umdp-actions-number": ("umdp", lambda d: {**d, "actions": 3}),
     "umdp-gamma-list": ("umdp", lambda d: {**d, "gamma": [0.5]}),
     "umdp-states-bool": ("umdp", lambda d: {**d, "states": True}),
+    "umdp-reward-nan": ("umdp", lambda d: {**d, "beta": [float("nan")]}),
+    "umdp-kernel-nan": ("umdp", lambda d: {**d, "trans": {"a": [[float("nan")]]}}),
     "block-top-level-number": ("block", lambda d: 3),
     "block-top-level-null": ("block", lambda d: None),
     "block-prefix-number": ("block", lambda d: {**d, "prefixes": [[], 1]}),

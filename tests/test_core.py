@@ -165,6 +165,19 @@ class TestValidationAndJson:
         with pytest.raises(ValueError):
             Wfa(alphabet=("a",), alpha=[1.0], beta=[1.0], trans={"b": [[1.0]]})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "trans"])
+    def test_non_finite_entries_rejected(self, field, bad):
+        parts = {"alpha": [1.0, 0.0], "beta": [1.0, 0.0],
+                 "trans": {"a": np.eye(2), "b": np.eye(2)}}
+        if field == "trans":
+            parts["trans"]["b"] = np.array([[0.5, bad], [0.0, 0.5]])
+        else:
+            parts[field] = [1.0, bad]
+        match = "transition for 'b'" if field == "trans" else field
+        with pytest.raises(ValueError, match=f"{match} has non-finite entries"):
+            Wfa(alphabet=("a", "b"), **parts)
+
     def test_immutable(self, rng):
         a = random_wfa(rng)
         with pytest.raises(ValueError):

@@ -415,6 +415,34 @@ class TestBranchAndBoundLoop:
             assert value == pytest.approx(iv.lower, rel=1e-12, abs=0.0)
 
 
+class TestNodeBoundOption:
+    def _generic(self, a, gamma):
+        return _BoundData(a, gamma, compute_tail_params(a, gamma), largest_bisimulation(a, DEFAULT_TOL))
+
+    def test_generic_bound_passed_explicitly_is_the_default(self, rng):
+        a = duplicated_copy(random_wfa(rng, n=2, norm_cap=0.8))
+        v = rng.standard_normal(a.dim)
+        for eps, budget in ((1e-7, 4000), (1e-15, 7)):
+            got = seminorm_interval(a, v, 0.6, eps, budget, node_bound=self._generic(a, 0.6))
+            assert got == seminorm_interval(a, v, 0.6, eps, budget)
+
+    @pytest.mark.parametrize("option,value", [
+        ("params", "certificate"), ("tol", 1e-6), ("use_kernel_projection", False),
+    ])
+    def test_generic_only_option_rejected(self, rng, option, value):
+        a = random_wfa(rng, n=2, norm_cap=0.8)
+        if value == "certificate":
+            value = compute_tail_params(a, 0.6)
+        with pytest.raises(ValueError, match=option):
+            seminorm_interval(a, a.alpha, 0.6, node_bound=self._generic(a, 0.6), **{option: value})
+
+    def test_default_tol_passed_explicitly_is_accepted(self, rng):
+        a = random_wfa(rng, n=2, norm_cap=0.8)
+        iv = seminorm_interval(a, a.alpha, 0.6, tol=DEFAULT_TOL, use_kernel_projection=True,
+                               node_bound=self._generic(a, 0.6))
+        assert iv == seminorm_interval(a, a.alpha, 0.6)
+
+
 def level_loop_truncated_seminorm(a, v, gamma, depth):
     """Depth-limited seminorm with states as rows, one einsum per level."""
     stack = a.trans_stack()

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from wfametrics import (
+    CannotCertifyError,
     Umdp,
     admissible_gamma_bound,
+    seminorm_interval,
     umdp_sup_value_interval,
     umdp_to_wfa,
     umdp_value_truncated,
     wfa_spectral_radius,
 )
+from wfametrics import umdp as umdp_mod
 from conftest import random_stochastic
 
 
@@ -51,6 +54,19 @@ class TestValidation:
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError, match="gamma"):
             Umdp(actions=("a",), alpha=[1.0], beta=[1.0], trans={"a": [[1.0]]}, gamma=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "trans"])
+    def test_non_finite_entries_rejected(self, field, bad):
+        parts = {"alpha": [1.0, 0.0], "beta": [1.0, 0.0],
+                 "trans": {"a": np.eye(2), "b": np.eye(2)}}
+        if field == "trans":
+            parts["trans"]["b"] = np.array([[bad, 0.0], [0.0, 1.0]])
+        else:
+            parts[field] = [1.0, bad] if field == "beta" else [bad, 0.0]
+        match = {"alpha": "alpha", "beta": "rewards", "trans": "kernel for 'b'"}[field]
+        with pytest.raises(ValueError, match=f"{match}.* has non-finite entries"):
+            Umdp(actions=("a", "b"), gamma=0.9, **parts)
 
     def test_rows_renormalized_exactly(self, rng):
         mat = random_stochastic(rng, 3)
@@ -172,6 +188,101 @@ class TestSupValue:
         iv1 = umdp_sup_value_interval(u, eps=1e-5)
         iv2 = umdp_sup_value_interval(bigger, eps=1e-5)
         assert iv2.lower >= iv1.lower - 1e-9
+
+
+def sweep_umdp(rng, case):
+    """Random UMDP of the soundness sweep; every third one has near-deterministic kernels."""
+    n = int(rng.integers(2, 7))
+    actions = ("a", "b", "c")[: int(rng.integers(1, 4))]
+    trans = {}
+    for act in actions:
+        if case % 3 == 0:
+            mat = np.eye(n)[rng.integers(0, n, size=n)]
+            if case % 6 == 0:  # exactly deterministic on the other half
+                mat = mat + 10.0 ** rng.uniform(-12, -3) * rng.random((n, n))
+            trans[act] = mat / mat.sum(axis=1, keepdims=True)
+        else:
+            trans[act] = random_stochastic(rng, n)
+    alpha = rng.random(n) + 1e-3
+    beta = rng.random(n) * (rng.random(n) < 0.8)  # some states without reward
+    return Umdp(actions=actions, alpha=alpha / alpha.sum(), beta=beta, trans=trans,
+                gamma=rng.uniform(0.3, 0.95))
+
+
+def best_truncated_value(u, depth):
+    """Brute force: the largest value of the first ``depth + 1`` rewards over all action strings."""
+    dists = u.alpha[None, :]
+    totals = dists @ u.beta
+    for t in range(1, depth + 1):
+        dists = np.concatenate([dists @ u.trans[act] for act in u.actions])
+        totals = np.tile(totals, len(u.actions)) + u.gamma**t * (dists @ u.beta)
+    return float(np.max(totals))
+
+
+def mdp_value(u):
+    """Fully observable MDP value by value iteration: an upper bound on the blind sup value."""
+    v = np.zeros(u.num_states)
+    for _ in range(100_000):
+        new = np.max([u.beta + u.gamma * (u.trans[act] @ v) for act in u.actions], axis=0)
+        if np.array_equal(new, v):
+            break
+        v = new
+    return v
+
+
+class TestAlphaVectorBound:
+    def test_sound_on_seeded_sweep(self):
+        rng = np.random.default_rng(60606)
+        certified = 0
+        for case in range(200):
+            u = sweep_umdp(rng, case)
+            iv = umdp_sup_value_interval(u, budget=500)
+            top = float(np.max(u.beta)) / (1.0 - u.gamma)
+            assert best_truncated_value(u, 8) <= iv.upper
+            assert iv.upper <= float(u.alpha @ mdp_value(u)) + 1e-12 * top
+            word = iv.witness_prefix
+            value = umdp_value_truncated(u, word + (u.actions[0],), len(word) + 1)
+            assert value == pytest.approx(iv.lower, rel=1e-12, abs=0.0)
+            a = umdp_to_wfa(u)
+            try:
+                generic = seminorm_interval(a, a.alpha, u.gamma, budget=50)
+            except CannotCertifyError:
+                continue
+            certified += 1
+            assert max(iv.lower, generic.lower) <= min(iv.upper, generic.upper)
+        assert certified >= 100
+
+    @pytest.mark.parametrize("zero_rewards", [False, True])
+    def test_alpha_set_is_a_supersolution(self, zero_rewards):
+        rng = np.random.default_rng(61)
+        for case in range(30):
+            u = sweep_umdp(rng, case)
+            if zero_rewards:
+                u = Umdp(actions=u.actions, alpha=u.alpha, beta=np.zeros(u.num_states),
+                         trans=u.trans, gamma=u.gamma)
+            alphas = umdp_mod._alpha_vectors(u)
+            assert alphas is not None
+            for i, act in enumerate(u.actions):
+                backup = np.max([u.trans[act] @ alphas[j] for j in range(len(u.actions))], axis=0)
+                assert np.all(alphas[i] >= u.beta + u.gamma * backup)
+            if zero_rewards:
+                assert np.all(alphas == 0.0)
+
+    def test_failed_check_falls_back_to_generic_bound(self, rng, monkeypatch):
+        monkeypatch.setattr(umdp_mod, "_is_supersolution", lambda *args: False)
+        for gamma in (0.5, 0.8):
+            u = random_umdp(rng, n=3, gamma=gamma)
+            a = umdp_to_wfa(u)
+            for eps, budget in ((1e-6, 3000), (1e-15, 40)):
+                got = umdp_sup_value_interval(u, eps, budget)
+                assert got == seminorm_interval(a, a.alpha, gamma, eps, budget)
+
+    def test_tighter_than_generic_bound_at_equal_budget(self, rng):
+        u = random_umdp(rng, n=4, actions=("a", "b", "c"), gamma=0.8)
+        a = umdp_to_wfa(u)
+        ours = umdp_sup_value_interval(u, budget=2000)
+        generic = seminorm_interval(a, a.alpha, u.gamma, budget=2000)
+        assert ours.width < generic.width
 
 
 def _all_fixed_words(actions, length):
