@@ -392,12 +392,14 @@ def seminorm_interval(
     # one entry at the first expansion at each depth.
     gpows = [gamma]
 
-    # heap entries: (-node_upper, depth, word index, state, partial), where a
-    # word s_1..s_d has index sum_j i(s_j) k^(d-j) with i the position in the
-    # sorted alphabet
-    heap = [(-upper, 0, 0, v, root_p)]
+    # heap entries: (-node_upper, depth, word index, states, row, partial),
+    # where a word s_1..s_d has index sum_j i(s_j) k^(d-j) with i the position
+    # in the sorted alphabet, and the node's state is states[row]: a child
+    # keeps its parent's array of children, so a row view is made only for
+    # the nodes that are expanded, not for every node pushed
+    heap = [(-upper, 0, 0, v[None], 0, root_p)]
     while heap and nodes_expanded < budget:
-        neg_u, d, idx, state, partial = heappop(heap)
+        neg_u, d, idx, states, row, partial = heappop(heap)
         if -neg_u < upper:
             upper = -neg_u
         if upper - lower <= eps:
@@ -405,7 +407,7 @@ def seminorm_interval(
         gpow = gpows[d]
         if d + 1 == len(gpows):
             gpows.append(gpow * gamma)
-        children = stack @ state
+        children = stack @ states[row]
         bvals, rems = bound_children(children)
         child_d, base = d + 1, idx * k
         for i in range(k):
@@ -413,7 +415,7 @@ def seminorm_interval(
             if child_p > lower:
                 lower = child_p
                 best = (child_d, base + i)
-            heappush(heap, (-(child_p + gpow * rems[i]), child_d, base + i, children[i], child_p))
+            heappush(heap, (-(child_p + gpow * rems[i]), child_d, base + i, children, i, child_p))
         nodes_expanded += 1
     else:
         # Budget or frontier exhausted: every popped node was expanded, so the

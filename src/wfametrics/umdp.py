@@ -185,6 +185,8 @@ def _alpha_vectors(u: Umdp) -> np.ndarray | None:
     """Alpha-set rows (one per action) that pass :func:`_is_supersolution`, or ``None``."""
     kernels = np.concatenate([u.trans[act] for act in u.actions])
     top = float(np.max(u.beta)) / (1.0 - u.gamma)
+    if not np.isfinite(top):  # the value bound overflows
+        return None
     alphas = np.full((len(u.actions), u.num_states), top)
     for _ in range(_ALPHA_ITERATIONS):
         new = _backup(kernels, u.beta, u.gamma, alphas)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,13 @@ class TestAlphaVectorBound:
                 assert np.all(alphas[i] >= u.beta + u.gamma * backup)
             if zero_rewards:
                 assert np.all(alphas == 0.0)
+
+    def test_no_alpha_set_when_the_value_bound_overflows(self):
+        u = Umdp(actions=("a", "b"), alpha=[0.5, 0.5], beta=[1e308, 0.0],
+                 trans={"a": np.eye(2), "b": np.eye(2)[::-1]}, gamma=0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no inf * 0 in the iteration
+            assert umdp_mod._alpha_vectors(u) is None
 
     def test_failed_check_falls_back_to_generic_bound(self, rng, monkeypatch):
         monkeypatch.setattr(umdp_mod, "_is_supersolution", lambda *args: False)
