@@ -193,14 +193,14 @@ class TestSupValue:
 
 
 def sweep_umdp(rng, case):
-    """Random UMDP of the soundness sweep; every third one has near-deterministic kernels."""
+    """Random UMDP of the soundness sweep; every third one has (near-)deterministic kernels."""
     n = int(rng.integers(2, 7))
     actions = ("a", "b", "c")[: int(rng.integers(1, 4))]
     trans = {}
     for act in actions:
         if case % 3 == 0:
             mat = np.eye(n)[rng.integers(0, n, size=n)]
-            if case % 6 == 0:  # exactly deterministic on the other half
+            if case % 6 == 0:  # near-deterministic; the other half stays deterministic
                 mat = mat + 10.0 ** rng.uniform(-12, -3) * rng.random((n, n))
             trans[act] = mat / mat.sum(axis=1, keepdims=True)
         else:
