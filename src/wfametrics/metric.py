@@ -27,11 +27,12 @@ whose discounted sum is the closed form
 
 Node bound
 ----------
-:func:`seminorm_interval` runs one search loop over any :class:`NodeBound`:
-``root(v)`` returns the root's partial value ``|beta . v|`` and a bound on
-``R(v)`` (defined below), and ``children(states)`` returns the same two
-numbers for all ``k`` children of a node as two lists, in one call per
-node.  The default is the generic bound below, valid for every automaton;
+:func:`seminorm_interval` runs one search loop over any :class:`NodeBound`,
+whose one method ``children(states)`` returns, for each row ``u`` of
+``states``, the partial value ``|beta . u|`` and a bound on ``R(u)`` (defined
+below), as two lists.  It is called once per expanded node on the node's
+``k`` children, and once on the root as the one-row ``v[None]``.  The
+default is the generic bound below, valid for every automaton;
 ``node_bound=`` is the extension point for bounds that know more about the
 automaton (:mod:`wfametrics.umdp` passes an alpha-vector bound that uses
 the non-negativity of distributions and rewards).
@@ -56,9 +57,9 @@ first order in the residuals,
 
 with ``C_P = |P_W|_S``.  Second-order residual terms are neglected; with
 SVD-clean subspaces the residuals are ~1e-12 relative, far below the interval
-resolutions used anywhere in this package.  Set
-``use_kernel_projection=False`` to force ``W = {0}`` (no residual terms at
-all).
+resolutions used anywhere in this package.  ``W`` is computed by
+:func:`~wfametrics.bisim.largest_bisimulation` at its default ``tol``; when it
+is trivial the bound is the plain chain bound, with no residual terms.
 
 Node ordering is best-first by node upper bound, ties broken by depth and
 then by the word's base-k index (its symbols' positions in the sorted
@@ -79,7 +80,7 @@ import numpy as np
 from .bisim import Subspace, largest_bisimulation
 from .core import Wfa, difference
 from .jsr import extend_products, wfa_spectral_radius
-from .linalg import DEFAULT_TOL, spectral_norm, spectral_norms
+from .linalg import spectral_norm, spectral_norms
 
 DEFAULT_EPS = 1e-6
 DEFAULT_BUDGET = 1_000_000
@@ -143,8 +144,8 @@ class CertifiedInterval:
     converged: bool = True
 
     def __post_init__(self):
-        # written so that a NaN endpoint fails the test
-        if not -1e-12 <= self.lower <= self.upper + 1e-12:
+        # written so that a NaN endpoint fails the test; a finite upper bounds lower
+        if not (-1e-12 <= self.lower <= self.upper + 1e-12 and self.upper < math.inf):
             raise ValueError(f"invalid interval [{self.lower}, {self.upper}]")
 
     @property
@@ -202,29 +203,17 @@ def _conjugate(s_mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return s_mat @ stack @ np.linalg.inv(s_mat)
 
 
-def compute_tail_params(
-    a: Wfa, gamma: float, depth: int = 8, *, product_cap: int = 4096
-) -> TailBoundParams:
-    """Search for a scaling and block length certifying ``gamma * theta < 1``.
+def _certificates(stack: np.ndarray, depth: int, product_cap: int):
+    """Candidate certificates of the matrices ``stack``, in the order they are tried.
 
-    Tries the identity scaling first, then a diagonal balancing scaling, with
-    block lengths ``1..depth`` (capped so no more than ``product_cap`` length-m
-    products are formed).  Raises :class:`CannotCertifyError` if nothing
-    certifies; the discount may still be admissible at higher depth.
-
-    Cost: O(k n^3) per scaling for the change of basis, plus k^m n-by-n
-    products and their norms at each level m; each level is formed once, by
-    extending the one before it, and the level-1 maximum norm is ``K``.
+    For each of :func:`_candidate_scalings`, yields the ``TailBoundParams`` of
+    block lengths ``1..depth``, stopping before a level of more than
+    ``product_cap`` products.  Cost: O(k n^3) per scaling for the change of
+    basis, plus k^m n-by-n products and their norms at each level m; each
+    level is formed once, by extending the one before it, and the level-1
+    maximum norm is ``K``.
     """
-    _check_gamma(gamma)
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    n = a.dim
-    if n == 0:
-        return TailBoundParams(theta=0.0, scaling=np.eye(0), block_len=1, step_norm=1.0)
-    stack = a.trans_stack()
-    k = stack.shape[0]
-
+    n, k = stack.shape[1], stack.shape[0]
     for s_mat in _candidate_scalings(stack):
         scaled = _conjugate(s_mat, stack)
         prods = np.eye(n)[None]
@@ -236,10 +225,28 @@ def compute_tail_params(
             if m == 1:
                 step = top
             theta = top ** (1.0 / m) if top > 0 else 0.0
-            if gamma * theta < 1.0 - _CERT_MARGIN:
-                return TailBoundParams(
-                    theta=theta, scaling=s_mat, block_len=m, step_norm=max(1.0, step)
-                )
+            yield TailBoundParams(theta=theta, scaling=s_mat, block_len=m, step_norm=max(1.0, step))
+
+
+def compute_tail_params(
+    a: Wfa, gamma: float, depth: int = 8, *, product_cap: int = 4096
+) -> TailBoundParams:
+    """Search for a scaling and block length certifying ``gamma * theta < 1``.
+
+    Tries the identity scaling first, then a diagonal balancing scaling, with
+    block lengths ``1..depth`` (capped so no more than ``product_cap`` length-m
+    products are formed), and returns the first that certifies.  Raises
+    :class:`CannotCertifyError` if nothing certifies; the discount may still
+    be admissible at higher depth.
+    """
+    _check_gamma(gamma)
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    if a.dim == 0:
+        return TailBoundParams(theta=0.0, scaling=np.eye(0), block_len=1, step_norm=1.0)
+    for params in _certificates(a.trans_stack(), depth, product_cap):
+        if gamma * params.theta < 1.0 - _CERT_MARGIN:
+            return params
     raise CannotCertifyError(
         f"could not certify gamma * theta < 1 for gamma={gamma} "
         f"within block length {depth}; try a larger depth or smaller gamma"
@@ -258,9 +265,6 @@ def _discounted_chain_sum(gamma: float, params: TailBoundParams) -> float:
 
 class NodeBound(Protocol):
     """A branch-and-bound node bound; see "Node bound" in the module docstring."""
-
-    def root(self, v: np.ndarray) -> tuple[float, float]:
-        """``(|beta . v|, upper bound on R(v))`` for the root state ``v``."""
 
     def children(self, states: np.ndarray) -> tuple[list[float], list[float]]:
         """``|beta . u|`` and the bound on ``R(u)`` for each row ``u`` of ``states``."""
@@ -296,9 +300,6 @@ class _BoundData:
             self.kernel_map = None
             self.resid_coeff = 0.0
 
-    def root(self, v: np.ndarray) -> tuple[float, float]:
-        return abs(float(self.beta @ v)), self.children(v[None])[1][0]
-
     def children(self, states: np.ndarray) -> tuple[list[float], list[float]]:
         # This runs once per expanded node.  sqrt(y.dot(y)) is what
         # np.linalg.norm computes for a real vector, without its call overhead;
@@ -327,8 +328,6 @@ def seminorm_interval(
     budget: int = DEFAULT_BUDGET,
     *,
     params: TailBoundParams | None = None,
-    tol: float = DEFAULT_TOL,
-    use_kernel_projection: bool = True,
     node_bound: NodeBound | None = None,
 ) -> CertifiedInterval:
     """Certified interval for the discounted seminorm of ``v``.
@@ -342,11 +341,11 @@ def seminorm_interval(
     search depth pass ``params=compute_tail_params(a, gamma, depth=d)``.
 
     ``node_bound`` replaces the generic node bound (an extension point; see
-    "Node bound" in the module docstring).  ``params``, ``tol`` and
-    ``use_kernel_projection`` configure only the generic bound, so passing
-    any of them with ``node_bound`` raises ``ValueError``.  Also raises
-    ``ValueError`` unless ``gamma`` is positive and finite, ``eps`` is
-    positive and ``v`` is finite.
+    "Node bound" in the module docstring).  ``params`` configures only the
+    generic bound, so passing it with ``node_bound`` raises ``ValueError``.
+    Also raises ``ValueError`` unless ``gamma`` is positive and finite,
+    ``eps`` is positive and ``v`` is finite, and, before any node is
+    expanded, when the root's bound is not finite (the value overflows).
     """
     _check_gamma(gamma)
     if not eps > 0:
@@ -354,34 +353,22 @@ def seminorm_interval(
     if budget < 0:
         raise ValueError("budget must be non-negative")
     v = _checked_vector(a, v)
-    if node_bound is not None:
-        ignored = [
-            name
-            for name, given in (
-                ("params", params is not None),
-                ("tol", tol != DEFAULT_TOL),
-                ("use_kernel_projection", not use_kernel_projection),
-            )
-            if given
-        ]
-        if ignored:
-            raise ValueError(
-                f"{', '.join(ignored)} configure the generic node bound and are ignored "
-                "with node_bound"
-            )
+    if node_bound is not None and params is not None:
+        raise ValueError("params configures the generic node bound and is ignored with node_bound")
     if a.dim == 0:
         return CertifiedInterval(0.0, 0.0, gamma, 0, 0, ())
     if node_bound is None:
         if params is None:
             params = compute_tail_params(a, gamma)
-        kernel = largest_bisimulation(a, tol) if use_kernel_projection else None
-        node_bound = _BoundData(a, gamma, params, kernel)
+        node_bound = _BoundData(a, gamma, params, largest_bisimulation(a))
     stack = a.trans_stack()
     symbols = a.alphabet
 
-    root_p, root_rem = node_bound.root(v)
-    lower = root_p
-    upper = root_p + root_rem
+    bvals, rems = node_bound.children(v[None])
+    root_p = lower = bvals[0]
+    upper = root_p + rems[0]
+    if not math.isfinite(upper):
+        raise ValueError(f"the root node bound is {upper}: the value overflows floating point")
     best = (0, 0)  # (length, word index) of the witness
     nodes_expanded = 0
 
@@ -461,8 +448,6 @@ def distance(
     eps: float = DEFAULT_EPS,
     budget: int = DEFAULT_BUDGET,
     *,
-    tol: float = DEFAULT_TOL,
-    use_kernel_projection: bool = True,
     cert_depth: int = 8,
 ) -> CertifiedInterval:
     """Certified interval for the discounted bisimulation distance.
@@ -477,16 +462,7 @@ def distance(
         a1, a2 = a2, a1
     diff = difference(a1, a2)
     params = compute_tail_params(diff, gamma, depth=cert_depth)
-    return seminorm_interval(
-        diff,
-        diff.alpha,
-        gamma,
-        eps,
-        budget,
-        params=params,
-        tol=tol,
-        use_kernel_projection=use_kernel_projection,
-    )
+    return seminorm_interval(diff, diff.alpha, gamma, eps, budget, params=params)
 
 
 def joint_tail_params(a1: Wfa, a2: Wfa, gamma: float) -> TailBoundParams:
@@ -502,17 +478,13 @@ def joint_tail_params(a1: Wfa, a2: Wfa, gamma: float) -> TailBoundParams:
         raise ValueError("alphabet mismatch")
     _check_gamma(gamma)
     stack = np.concatenate([a1.trans_stack(), a2.trans_stack()])
-    best = None
-    for s_mat in _candidate_scalings(stack):
-        theta = float(np.max(spectral_norms(_conjugate(s_mat, stack))))
-        if gamma * theta < 1.0 - _CERT_MARGIN and (best is None or theta < best[0]):
-            best = (theta, s_mat)
-    if best is None:
+    candidates = _certificates(stack, 1, len(stack))
+    certified = [p for p in candidates if gamma * p.theta < 1.0 - _CERT_MARGIN]
+    if not certified:
         raise CannotCertifyError(
             f"no common single-step certificate with gamma * theta < 1 at gamma={gamma}"
         )
-    theta, s_mat = best
-    return TailBoundParams(theta=theta, scaling=s_mat, block_len=1, step_norm=max(1.0, theta))
+    return min(certified, key=lambda p: p.theta)
 
 
 def distance_upper_bound(a1: Wfa, a2: Wfa, gamma: float, params: TailBoundParams) -> float:

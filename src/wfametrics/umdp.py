@@ -212,10 +212,6 @@ class _AlphaVectorBound:
     def __init__(self, alphas: np.ndarray, beta: np.ndarray):
         self.weights = np.column_stack([beta, alphas.T])
 
-    def root(self, v: np.ndarray) -> tuple[float, float]:
-        vals, rems = self.children(v[None])
-        return vals[0], rems[0]
-
     def children(self, states: np.ndarray) -> tuple[list[float], list[float]]:
         rows = states.dot(self.weights).tolist()
         return [row[0] for row in rows], [max(row[1:]) - row[0] for row in rows]

@@ -358,6 +358,18 @@ class TestUmdpCommands:
         )
         assert float(fields["upper"]) >= float(fields["lower"]) >= 0.0
 
+    def test_sup_of_an_overflowing_value_is_an_input_error(self, tmp_path, capsys):
+        u = Umdp(actions=("a", "b"), alpha=[0.5, 0.5], beta=[1e308, 0.0],
+                 trans={"a": np.eye(2), "b": np.eye(2)[::-1]}, gamma=0.9)
+        path = tmp_path / "u.json"
+        save_umdp(u, str(path))
+        with np.errstate(over="ignore"):
+            assert main(["umdp", "sup", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and "overflows" in captured.err
+
 
 def _dist_after(u, word, steps):
     dist = np.array(u.alpha)

@@ -259,8 +259,30 @@ class TestSeminormInterval:
         with pytest.raises(ValueError):
             CertifiedInterval(lower, upper, 0.5, 0, 0, ())
 
+    @pytest.mark.parametrize("lower,upper", [(0.0, np.inf), (np.inf, np.inf)])
+    def test_interval_rejects_infinite_endpoints(self, lower, upper):
+        with pytest.raises(ValueError):
+            CertifiedInterval(lower, upper, 0.5, 0, 0, ())
 
-def tuple_word_seminorm_interval(a, v, gamma, eps, budget, use_kernel_projection=True):
+    def test_overflowing_root_bound_rejected_before_any_node(self):
+        # the node bound of every vector but 0 is inf: the search would spend its budget
+        a = Wfa(alphabet=("a", "b"), alpha=[1.0, 0.0], beta=[1e308, 0.0],
+                trans={"a": [[0.0, 1.0], [1.0, 0.0]], "b": [[1.0, 0.0], [0.0, 1.0]]})
+        calls = []
+
+        class Counting:
+            def children(self, states):
+                calls.append(len(states))
+                return [0.0] * len(states), [np.inf] * len(states)
+
+        with pytest.raises(ValueError, match="overflows"), np.errstate(over="ignore"):
+            seminorm_interval(a, a.alpha, 0.9)
+        with pytest.raises(ValueError, match="overflows"):
+            seminorm_interval(a, a.alpha, 0.9, node_bound=Counting())
+        assert calls == [1]
+
+
+def tuple_word_seminorm_interval(a, v, gamma, eps, budget, projection=True):
     """The branch-and-bound loop with tuple words and ``np.linalg.norm`` bounds.
 
     Kept as the reference for :func:`seminorm_interval`, which must return
@@ -270,7 +292,7 @@ def tuple_word_seminorm_interval(a, v, gamma, eps, budget, use_kernel_projection
     ``test_stop_on_gap_keeps_popped_bound``.
     """
     params = compute_tail_params(a, gamma)
-    kernel = largest_bisimulation(a, DEFAULT_TOL) if use_kernel_projection else None
+    kernel = largest_bisimulation(a, DEFAULT_TOL) if projection else None
     data = _BoundData(a, gamma, params, kernel)
 
     def remaining(state):
@@ -326,6 +348,11 @@ def tuple_word_seminorm_interval(a, v, gamma, eps, budget, use_kernel_projection
     )
 
 
+def no_projection_bound(a, gamma):
+    """The generic bound with ``W = {0}``: the plain chain bound, no residual terms."""
+    return _BoundData(a, gamma, compute_tail_params(a, gamma), None)
+
+
 def _tied(a):
     """``a`` with its second symbol given the first one's matrix: sibling bounds tie exactly."""
     trans = dict(a.trans)
@@ -334,7 +361,7 @@ def _tied(a):
 
 
 BNB_FAMILIES = {
-    # name: (alphabet, make automaton, use_kernel_projection)
+    # name: (alphabet, make automaton, project out the bisimulation kernel)
     "k1": (("a",), lambda a: a, True),
     "k2-multichar": (("aa", "ab"), lambda a: a, True),
     "k3-multichar": (("aa", "ab", "b"), lambda a: a, True),
@@ -360,7 +387,8 @@ class TestBranchAndBoundLoop:
             gamma = rng.uniform(0.2, 0.8)
             # every third case is a budget exit: an eps no run reaches, a small budget
             eps, budget = (1e-15, int(rng.integers(1, 20))) if case % 3 == 0 else (1e-7, 4000)
-            got = seminorm_interval(a, v, gamma, eps, budget, use_kernel_projection=projection)
+            bound = None if projection else no_projection_bound(a, gamma)
+            got = seminorm_interval(a, v, gamma, eps, budget, node_bound=bound)
             assert got == tuple_word_seminorm_interval(a, v, gamma, eps, budget, projection)
             exits += not got.converged
             if family.startswith("tied"):
@@ -407,7 +435,8 @@ class TestBranchAndBoundLoop:
                         trans={s: m + noise * rng.standard_normal(m.shape) for s, m in a.trans.items()})
             v = rng.standard_normal(a.dim)
             gamma = rng.uniform(0.2, 0.7)
-            iv = seminorm_interval(a, v, gamma, budget=5000, use_kernel_projection=case % 5 != 0)
+            bound = no_projection_bound(a, gamma) if case % 5 == 0 else None
+            iv = seminorm_interval(a, v, gamma, budget=5000, node_bound=bound)
             assert truncated_seminorm(a, v, gamma, 8) <= iv.upper
             start = with_initial(a, v)
             word = iv.witness_prefix
@@ -426,9 +455,20 @@ class TestNodeBoundOption:
             got = seminorm_interval(a, v, 0.6, eps, budget, node_bound=self._generic(a, 0.6))
             assert got == seminorm_interval(a, v, 0.6, eps, budget)
 
-    @pytest.mark.parametrize("option,value", [
-        ("params", "certificate"), ("tol", 1e-6), ("use_kernel_projection", False),
-    ])
+    def test_bound_with_only_children_is_the_default(self, rng):
+        a = duplicated_copy(random_wfa(rng, n=2, norm_cap=0.8))
+        v = rng.standard_normal(a.dim)
+        generic = self._generic(a, 0.6)
+
+        class ChildrenOnly:
+            def children(self, states):
+                return generic.children(states)
+
+        for eps, budget in ((1e-7, 4000), (1e-15, 7)):
+            got = seminorm_interval(a, v, 0.6, eps, budget, node_bound=ChildrenOnly())
+            assert got == seminorm_interval(a, v, 0.6, eps, budget)
+
+    @pytest.mark.parametrize("option,value", [("params", "certificate")])
     def test_generic_only_option_rejected(self, rng, option, value):
         a = random_wfa(rng, n=2, norm_cap=0.8)
         if value == "certificate":
@@ -436,11 +476,15 @@ class TestNodeBoundOption:
         with pytest.raises(ValueError, match=option):
             seminorm_interval(a, a.alpha, 0.6, node_bound=self._generic(a, 0.6), **{option: value})
 
-    def test_default_tol_passed_explicitly_is_accepted(self, rng):
+    @pytest.mark.parametrize("option,value", [("tol", 1e-6), ("use_kernel_projection", False)])
+    @pytest.mark.parametrize("func", ["seminorm_interval", "distance"])
+    def test_removed_option_raises_type_error(self, rng, func, option, value):
         a = random_wfa(rng, n=2, norm_cap=0.8)
-        iv = seminorm_interval(a, a.alpha, 0.6, tol=DEFAULT_TOL, use_kernel_projection=True,
-                               node_bound=self._generic(a, 0.6))
-        assert iv == seminorm_interval(a, a.alpha, 0.6)
+        with pytest.raises(TypeError, match=option):
+            if func == "seminorm_interval":
+                seminorm_interval(a, a.alpha, 0.6, **{option: value})
+            else:
+                distance(a, a, 0.6, **{option: value})
 
 
 def level_loop_truncated_seminorm(a, v, gamma, depth):

@@ -270,12 +270,18 @@ class TestAlphaVectorBound:
             if zero_rewards:
                 assert np.all(alphas == 0.0)
 
+    OVERFLOWING = Umdp(actions=("a", "b"), alpha=[0.5, 0.5], beta=[1e308, 0.0],
+                       trans={"a": np.eye(2), "b": np.eye(2)[::-1]}, gamma=0.9)
+
     def test_no_alpha_set_when_the_value_bound_overflows(self):
-        u = Umdp(actions=("a", "b"), alpha=[0.5, 0.5], beta=[1e308, 0.0],
-                 trans={"a": np.eye(2), "b": np.eye(2)[::-1]}, gamma=0.9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no inf * 0 in the iteration
-            assert umdp_mod._alpha_vectors(u) is None
+            assert umdp_mod._alpha_vectors(self.OVERFLOWING) is None
+
+    def test_overflowing_value_rejected_before_the_search(self):
+        # the generic fallback's root bound is inf; the search used to spend its whole budget
+        with pytest.raises(ValueError, match="overflows"), np.errstate(over="ignore"):
+            umdp_sup_value_interval(self.OVERFLOWING, budget=20_000)
 
     def test_failed_check_falls_back_to_generic_bound(self, rng, monkeypatch):
         monkeypatch.setattr(umdp_mod, "_is_supersolution", lambda *args: False)
