@@ -5,8 +5,12 @@ The largest bisimulation of an automaton is the biggest subspace ``W`` with
 bisimilar exactly when their difference lies in ``W``, and ``W = {0}`` means
 every state realizes a distinct function (observability).
 
-Everything here is computed with SVD rank decisions under a single relative
-tolerance (see :mod:`wfametrics.linalg`).
+``W`` is the orthogonal complement of the states reachable in the reversed
+automaton: a vector is orthogonal to every ``T[x]^T beta`` exactly when no
+word observes it.  So one span closure, :func:`reachable_subspace`, answers
+both questions, and :func:`minimize` is two reachability passes.  Every rank
+decision is an SVD rank decision under a single relative tolerance (see
+:mod:`wfametrics.linalg`).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Wfa
+from .core import Wfa, reverse
 from .linalg import DEFAULT_TOL, null_basis, orth_basis
 
 
@@ -51,41 +55,22 @@ class Subspace:
 
     def complement_basis(self) -> np.ndarray:
         """Orthonormal basis of the orthogonal complement."""
-        n, k = self.basis.shape
-        if k == 0:
-            return np.eye(n)
         return null_basis(self.basis.T, self.tol)
 
-    def contains(self, v: np.ndarray, tol: float | None = None) -> bool:
+    def contains(self, v: np.ndarray) -> bool:
         v = np.asarray(v, dtype=float)
-        tol = self.tol if tol is None else tol
         resid = v - self.project(v)
-        return float(np.linalg.norm(resid)) <= tol * (1.0 + float(np.linalg.norm(v)))
+        return float(np.linalg.norm(resid)) <= self.tol * (1.0 + float(np.linalg.norm(v)))
 
 
 def largest_bisimulation(a: Wfa, tol: float = DEFAULT_TOL) -> Subspace:
     """Largest subspace inside ``ker(beta)`` invariant under every transition.
 
-    Computed as the decreasing fixed point ``W0 = ker(beta)``,
-    ``W_{k+1} = {v in W_k : T[s] v in W_k for all s}``, which stabilizes in
-    at most ``dim`` steps.  The zero subspace is always a valid answer.
+    Computed as the orthogonal complement of ``reachable_subspace(reverse(a))``,
+    the span of the covectors ``T[x]^T beta`` over all words ``x``.  The zero
+    subspace is always a valid answer.  ``tol <= 0`` raises ``ValueError``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = a.dim
-    if n == 0:
-        return Subspace(np.zeros((0, 0)), tol)
-    basis = null_basis(a.beta.reshape(1, n), tol)
-    mats = [a.trans[s] for s in a.alphabet]
-    while basis.shape[1] > 0:
-        comp = np.eye(n) - basis @ basis.T
-        stacked = np.vstack([comp] + [comp @ m for m in mats])
-        new_basis = null_basis(stacked, tol)
-        if new_basis.shape[1] == basis.shape[1]:
-            basis = new_basis
-            break
-        basis = new_basis
-    return Subspace(basis, tol)
+    return Subspace(reachable_subspace(reverse(a), tol).complement_basis(), tol)
 
 
 def is_observable(a: Wfa, tol: float = DEFAULT_TOL) -> bool:
@@ -122,7 +107,11 @@ def reachable_subspace(a: Wfa, tol: float = DEFAULT_TOL) -> Subspace:
 
 
 def _restrict(a: Wfa, basis: np.ndarray) -> Wfa:
-    """Compress ``a`` onto the coordinates of an invariant subspace basis."""
+    """Compress ``a`` onto the coordinates of an orthonormal ``basis``.
+
+    Exact when the span holds ``alpha`` and is invariant under every ``T[s]``,
+    or holds ``beta`` and is invariant under every ``T[s]^T``.
+    """
     return Wfa(
         alphabet=a.alphabet,
         alpha=basis.T @ a.alpha,
@@ -134,17 +123,14 @@ def _restrict(a: Wfa, basis: np.ndarray) -> Wfa:
 def minimize(a: Wfa, tol: float = DEFAULT_TOL) -> Wfa:
     """Equivalent automaton of minimal dimension (observable and reachable).
 
-    Two passes: restrict to the reachable subspace, then quotient by the
-    largest bisimulation of the restriction (concretely: compress onto the
-    orthogonal complement of the bisimulation subspace, which is sound
-    because the complement coordinates determine evaluations once the
-    bisimulation part is unobservable).
+    Two reachability passes: restrict to the reachable subspace, then restrict
+    the result to the subspace reachable in its reverse.  That second subspace
+    is the orthogonal complement of the largest bisimulation, and restricting
+    to it is sound because it holds ``beta`` and is invariant under every
+    ``T[s]^T``, so the dropped coordinates are never observed.
     """
-    reach = reachable_subspace(a, tol)
-    restricted = _restrict(a, reach.basis)
-    w = largest_bisimulation(restricted, tol)
-    quotient_basis = w.complement_basis()
-    return _restrict(restricted, quotient_basis)
+    r = _restrict(a, reachable_subspace(a, tol).basis)
+    return _restrict(r, reachable_subspace(reverse(r), tol).basis)
 
 
 def states_bisimilar(a: Wfa, u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -263,6 +263,8 @@ def wfa_from_dict(doc: Mapping) -> Wfa:
         raise ValueError(f"field 'beta' has length {beta.shape}, expected ({n},)")
     trans = matrix_map(doc, "trans")
     for sym, mat in trans.items():
+        if n == 0 and mat.shape == (0,):
+            trans[sym] = mat = mat.reshape(0, 0)  # how JSON writes a 0-by-0 matrix
         if mat.shape != (n, n):
             raise ValueError(f"trans[{sym!r}] has shape {mat.shape}, expected ({n}, {n})")
     return Wfa(alphabet=alphabet, alpha=alpha, beta=beta, trans=trans)

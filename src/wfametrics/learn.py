@@ -20,7 +20,7 @@ import numpy as np
 
 from .bisim import minimize
 from .core import (
-    Wfa, Word, as_word, check_document, float_array, json_text, load_json, matrix_map,
+    Wfa, Word, as_word, check_document, float_array, load_json, matrix_map,
     prefix_states, reverse, symbol_list,
 )
 from .linalg import DEFAULT_TOL, numerical_rank, sign_flips, spectral_norm
@@ -284,7 +284,3 @@ def _words(doc: Mapping, key: str) -> tuple[Word, ...]:
 def load_block(path: str) -> HankelBlock:
     return load_json(path, block_from_dict)
 
-
-def save_block(block: HankelBlock, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(json_text(block_to_dict(block)))

@@ -211,9 +211,13 @@ def _certificates(stack: np.ndarray, depth: int, product_cap: int):
     ``product_cap`` products.  Cost: O(k n^3) per scaling for the change of
     basis, plus k^m n-by-n products and their norms at each level m; each
     level is formed once, by extending the one before it, and the level-1
-    maximum norm is ``K``.
+    maximum norm is ``K``.  Over a 0-dimensional space the one candidate is
+    ``theta = 0``.
     """
     n, k = stack.shape[1], stack.shape[0]
+    if n == 0:
+        yield TailBoundParams(theta=0.0, scaling=np.eye(0), block_len=1, step_norm=1.0)
+        return
     for s_mat in _candidate_scalings(stack):
         scaled = _conjugate(s_mat, stack)
         prods = np.eye(n)[None]
@@ -242,8 +246,6 @@ def compute_tail_params(
     _check_gamma(gamma)
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if a.dim == 0:
-        return TailBoundParams(theta=0.0, scaling=np.eye(0), block_len=1, step_norm=1.0)
     for params in _certificates(a.trans_stack(), depth, product_cap):
         if gamma * params.theta < 1.0 - _CERT_MARGIN:
             return params
@@ -357,14 +359,16 @@ def seminorm_interval(
         raise ValueError("params configures the generic node bound and is ignored with node_bound")
     if a.dim == 0:
         return CertifiedInterval(0.0, 0.0, gamma, 0, 0, ())
-    if node_bound is None:
-        if params is None:
-            params = compute_tail_params(a, gamma)
-        node_bound = _BoundData(a, gamma, params, largest_bisimulation(a))
+    if node_bound is None and params is None:
+        params = compute_tail_params(a, gamma)
+    # an overflow here gives an infinite root bound, which is rejected just below
+    with np.errstate(over="ignore"):
+        if node_bound is None:
+            node_bound = _BoundData(a, gamma, params, largest_bisimulation(a))
+        bvals, rems = node_bound.children(v[None])
     stack = a.trans_stack()
     symbols = a.alphabet
 
-    bvals, rems = node_bound.children(v[None])
     root_p = lower = bvals[0]
     upper = root_p + rems[0]
     if not math.isfinite(upper):
@@ -447,8 +451,6 @@ def distance(
     gamma: float,
     eps: float = DEFAULT_EPS,
     budget: int = DEFAULT_BUDGET,
-    *,
-    cert_depth: int = 8,
 ) -> CertifiedInterval:
     """Certified interval for the discounted bisimulation distance.
 
@@ -461,8 +463,7 @@ def distance(
     if _canonical_key(a2) < _canonical_key(a1):
         a1, a2 = a2, a1
     diff = difference(a1, a2)
-    params = compute_tail_params(diff, gamma, depth=cert_depth)
-    return seminorm_interval(diff, diff.alpha, gamma, eps, budget, params=params)
+    return seminorm_interval(diff, diff.alpha, gamma, eps, budget)
 
 
 def joint_tail_params(a1: Wfa, a2: Wfa, gamma: float) -> TailBoundParams:

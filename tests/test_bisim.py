@@ -14,6 +14,7 @@ from wfametrics import (
     states_bisimilar,
     with_initial,
 )
+from wfametrics.linalg import null_basis
 from conftest import all_words, duplicated_copy, random_wfa
 
 
@@ -37,6 +38,51 @@ def observability_kernel_oracle(a, max_len=None):
     _, sv, vt = np.linalg.svd(mat)
     rank = int(np.sum(sv > 1e-9 * sv[0])) if sv.size and sv[0] > 0 else 0
     return vt[rank:].T
+
+
+def fixed_point_bisimulation(a, tol=1e-9):
+    """Reference: the shrinking fixed point W0 = ker(beta), W_{k+1} = {v in W_k : T[s] v in W_k}."""
+    n = a.dim
+    basis = null_basis(a.beta.reshape(1, n), tol)
+    mats = [a.trans[s] for s in a.alphabet]
+    while basis.shape[1] > 0:
+        comp = np.eye(n) - basis @ basis.T
+        new_basis = null_basis(np.vstack([comp] + [comp @ m for m in mats]), tol)
+        if new_basis.shape[1] == basis.shape[1]:
+            return new_basis
+        basis = new_basis
+    return basis
+
+
+def scaled_family(rng, kind, scale_exp):
+    """A seeded automaton whose entries carry independent factors 10^U(-s, s).
+
+    ``random`` is generic (bisimulation {0}), ``duplicated`` holds two copies of
+    a scaled base, and ``hidden`` keeps the last n - r coordinates invariant and
+    unobserved before an orthogonal change of basis hides them.
+    """
+    n = int(rng.integers(2, 9))
+    alphabet = ("a", "b", "c")[: int(rng.integers(1, 4))]
+
+    def scaled(shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-scale_exp, scale_exp, shape)
+
+    if kind == "duplicated":
+        half = max(n // 2, 1)
+        base = Wfa(alphabet=alphabet, alpha=scaled(half), beta=scaled(half),
+                   trans={s: scaled((half, half)) for s in alphabet})
+        return duplicated_copy(base)
+    trans = {s: scaled((n, n)) for s in alphabet}
+    alpha, beta = scaled(n), scaled(n)
+    if kind == "random":
+        return Wfa(alphabet=alphabet, alpha=alpha, beta=beta, trans=trans)
+    r = int(rng.integers(1, n))
+    for m in trans.values():
+        m[:r, r:] = 0.0
+    beta[r:] = 0.0
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return Wfa(alphabet=alphabet, alpha=q @ alpha, beta=q @ beta,
+               trans={s: q @ m @ q.T for s, m in trans.items()})
 
 
 class TestLargestBisimulation:
@@ -104,6 +150,25 @@ class TestLargestBisimulation:
     def test_tol_must_be_positive(self, rng):
         with pytest.raises(ValueError):
             largest_bisimulation(random_wfa(rng), 0.0)
+
+    @pytest.mark.parametrize("scale_exp", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["random", "duplicated", "hidden"])
+    def test_matches_shrinking_fixed_point(self, kind, scale_exp):
+        # the complement of reversed reachability is the fixed point's subspace
+        for seed in range(40):
+            a = scaled_family(np.random.default_rng([scale_exp, seed]), kind, scale_exp)
+            w = largest_bisimulation(a, 1e-9)
+            ref = fixed_point_bisimulation(a, 1e-9)
+            assert w.dim == ref.shape[1]
+            assert np.max(np.abs(w.projector() - ref @ ref.T)) <= 1e-8
+
+    @pytest.mark.parametrize("n", [30, 50])
+    def test_single_symbol_automaton_is_observable(self, n):
+        # the dual of test_single_symbol_krylov_span_is_full: the covectors
+        # beta T^j span the whole space
+        for seed in range(10):
+            a = random_wfa(np.random.default_rng([n, seed]), n=n, alphabet=("a",), norm_cap=0.9)
+            assert largest_bisimulation(a).dim == 0
 
 
 class TestObservableReachable:

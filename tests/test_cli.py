@@ -67,6 +67,16 @@ class TestBasicCommands:
         assert capsys.readouterr().out.strip() == "dim 2"
         assert load_wfa(str(out)).dim == 2
 
+    def test_minimize_to_zero_states_round_trips(self, tmp_path, capsys):
+        zero = Wfa(alphabet=("a",), alpha=[0.0], beta=[1.0], trans={"a": [[0.5]]})
+        src = tmp_path / "zero.json"
+        save_wfa(zero, str(src))
+        out = tmp_path / "min.json"
+        assert main(["minimize", str(src), "-o", str(out)]) == 0
+        assert capsys.readouterr().out.strip() == "dim 0"
+        assert main(["eval", str(out), "--word", "aa"]) == 0
+        assert capsys.readouterr().out.strip() == "0"
+
     def test_bisim_prints_dimension_and_basis(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         from conftest import duplicated_copy
@@ -363,8 +373,7 @@ class TestUmdpCommands:
                  trans={"a": np.eye(2), "b": np.eye(2)[::-1]}, gamma=0.9)
         path = tmp_path / "u.json"
         save_umdp(u, str(path))
-        with np.errstate(over="ignore"):
-            assert main(["umdp", "sup", str(path)]) == 1
+        assert main(["umdp", "sup", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1

@@ -275,7 +275,7 @@ class TestSeminormInterval:
                 calls.append(len(states))
                 return [0.0] * len(states), [np.inf] * len(states)
 
-        with pytest.raises(ValueError, match="overflows"), np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="overflows"):
             seminorm_interval(a, a.alpha, 0.9)
         with pytest.raises(ValueError, match="overflows"):
             seminorm_interval(a, a.alpha, 0.9, node_bound=Counting())
@@ -782,6 +782,13 @@ class TestDistanceUpperBound:
         params = joint_tail_params(a1, a2, gamma=0.5)
         with pytest.raises(ValueError, match="gamma"):
             distance_upper_bound(a1, a2, gamma, params)
+
+    def test_empty_automata(self):
+        empty = Wfa(alphabet=("a",), alpha=np.zeros(0), beta=np.zeros(0),
+                    trans={"a": np.zeros((0, 0))})
+        params = joint_tail_params(empty, empty, gamma=0.9)
+        assert params.theta == 0.0
+        assert distance_upper_bound(empty, empty, 0.9, params) == 0.0
 
     def test_cannot_certify_joint(self):
         a = one_state(1.5)

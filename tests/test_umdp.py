@@ -280,7 +280,7 @@ class TestAlphaVectorBound:
 
     def test_overflowing_value_rejected_before_the_search(self):
         # the generic fallback's root bound is inf; the search used to spend its whole budget
-        with pytest.raises(ValueError, match="overflows"), np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="overflows"):
             umdp_sup_value_interval(self.OVERFLOWING, budget=20_000)
 
     def test_failed_check_falls_back_to_generic_bound(self, rng, monkeypatch):
