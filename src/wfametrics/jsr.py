@@ -15,6 +15,16 @@ so :func:`jsr_bounds` returns a certified bracket:
 Enumeration is breadth-first with per-level beam pruning, which can only
 weaken the lower bound and disables upper-bound updates from incomplete
 levels, so both bounds stay valid under any budget.
+
+Only a level's largest radius and largest spectral norm can move the
+bracket, so each level first takes the cheap caps ``||P||_1``, ``||P||_inf``
+and ``||P||_F`` of every product.  The eigen solve runs only on products
+whose smallest cap reaches ``lower**t`` (``rho(P)`` never exceeds a cap),
+and the SVD only on those :func:`~wfametrics.linalg.max_spectral_norm`
+cannot rule out by Frobenius norm; a level that is pruned still needs every
+spectral norm to rank its products.  Both filters keep every product that
+could tie, within a relative slack far above solver roundoff, so the bracket
+and witness are the same floats as with a solve on every product.
 """
 
 from __future__ import annotations
@@ -24,7 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Wfa
-from .linalg import DEFAULT_TOL, spectral_norm, spectral_norms, spectral_radii
+from .linalg import (
+    CAP_SLACK,
+    DEFAULT_TOL,
+    frobenius_norms,
+    max_spectral_norm,
+    spectral_norm,
+    spectral_norms,
+    spectral_radii,
+)
 
 DEFAULT_NODE_BUDGET = 50_000
 
@@ -50,6 +68,9 @@ def _as_square_stack(mats) -> np.ndarray:
     arr = np.stack([np.asarray(m, dtype=float) for m in mats])
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValueError("matrices must all be square and of equal size")
+    for i, mat in enumerate(arr):
+        if not np.isfinite(mat).all():
+            raise ValueError(f"matrix {i} has a non-finite entry")
     return arr
 
 
@@ -75,12 +96,16 @@ def jsr_bounds(
     ``"0", "1", ...``).  When a level would exceed ``node_budget`` products it
     is pruned to the largest-norm ``node_budget`` of them (ties broken
     lexicographically); the result is then flagged ``truncated`` and the
-    upper bound stops improving, but both bounds remain valid.
+    upper bound stops improving, but both bounds remain valid.  Raises
+    ``ValueError`` for a non-finite matrix, ``node_budget < 1``, or a product
+    level that overflows floating point.
     """
     gens = _as_square_stack(mats)
     k, n, _ = gens.shape
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if node_budget < 1:
+        raise ValueError("node_budget must be at least 1")
     if symbols is None:
         width = len(str(k - 1))
         symbols = tuple(str(i).zfill(width) for i in range(k))
@@ -100,45 +125,79 @@ def jsr_bounds(
     truncated = False
     level_complete = True
 
-    # Level t holds (word, product) pairs in lexicographic word order; the
-    # product for word x1..xt is T[xt] @ ... @ T[x1].
-    words: list[tuple[str, ...]] = [()]
+    # Each level is in lexicographic word order: the product for word x1..xt
+    # is T[xt] @ ... @ T[x1], and row r of an extended level is the word of
+    # row r // k of the level before, followed by symbol r % k.  kept[t - 1]
+    # lists the rows of extended level t that pruning kept (None: all).
+    kept: list[np.ndarray | None] = []
     prods = np.eye(n)[None, :, :]
 
     for t in range(1, depth + 1):
-        words = [w + (s,) for w in words for s in symbols]
         prods = extend_products(gens, prods)
+        if not np.isfinite(prods).all():
+            raise ValueError(f"products of length {t} overflow floating point")
+        abs_prods = np.abs(prods)
+        with np.errstate(over="ignore"):  # an infinite cap is still a cap
+            row_caps = abs_prods.sum(axis=2).max(axis=1)  # ||P||_inf
+            col_caps = abs_prods.sum(axis=1).max(axis=1)  # ||P||_1
+            caps = np.minimum(np.minimum(row_caps, col_caps), frobenius_norms(prods))
+            reach = np.float64(lower) ** t * (1.0 - CAP_SLACK)
 
-        radii = spectral_radii(prods)
-        best = int(np.argmax(radii))
-        cand = radii[best] ** (1.0 / t) if radii[best] > 0 else 0.0
-        if cand > lower:
-            lower = float(cand)
-            witness = words[best]
+        # rho(P) <= caps, so a product below lower**t cannot raise lower; every
+        # product tied for the largest radius is kept, so argmax finds the
+        # same first one
+        solve = np.flatnonzero(caps >= reach)
+        if solve.size:
+            radii = spectral_radii(prods[solve])
+            best = int(np.argmax(radii))
+            cand = radii[best] ** (1.0 / t) if radii[best] > 0 else 0.0
+            if cand > lower:
+                lower = float(cand)
+                witness = _decode_word(t, _word_index(kept, k, int(solve[best])), symbols)
 
-        norms = spectral_norms(prods)
+        prune = len(prods) > node_budget and t < depth
+        if prune:
+            norms = spectral_norms(prods)
         if level_complete:
-            abs_prods = np.abs(prods)
             for level_max in (
-                float(np.max(norms)),
-                float(np.max(abs_prods.sum(axis=2))),  # max row sum
-                float(np.max(abs_prods.sum(axis=1))),  # max column sum
+                float(np.max(norms)) if prune else max_spectral_norm(prods),
+                float(np.max(row_caps)),
+                float(np.max(col_caps)),
             ):
                 upper = min(upper, level_max ** (1.0 / t) if level_max > 0 else 0.0)
 
-        if len(words) > node_budget and t < depth:
-            order = sorted(range(len(words)), key=lambda i: (-norms[i], words[i]))
-            keep = sorted(order[:node_budget])
-            words = [words[i] for i in keep]
+        if prune:
+            # rows are in word order, so a stable sort breaks ties by word
+            keep = np.sort(np.argsort(-norms, kind="stable")[:node_budget])
             prods = prods[keep]
             level_complete = False
             truncated = True
+        kept.append(keep if prune else None)
 
-    if upper == np.inf:
-        upper = float(np.max(spectral_norms(gens)))
     if lower > upper:
         lower = upper
     return JsrBounds(lower, upper, depth, witness, truncated)
+
+
+def _word_index(kept: list[np.ndarray | None], k: int, row: int) -> int:
+    """Base-k index of the word at ``row`` of the level extended from the last in ``kept``."""
+    idx, place = 0, 1
+    for keep in reversed(kept):
+        row, digit = divmod(row, k)
+        idx += digit * place
+        place *= k
+        if keep is not None:
+            row = int(keep[row])
+    return idx + row * place
+
+
+def _decode_word(length: int, idx: int, symbols: tuple[str, ...]) -> tuple[str, ...]:
+    """The word of ``length`` symbols whose base-k digits are ``idx``."""
+    word = []
+    for _ in range(length):
+        idx, digit = divmod(idx, len(symbols))
+        word.append(symbols[digit])
+    return tuple(reversed(word))
 
 
 def wfa_spectral_radius(a: Wfa, depth: int, node_budget: int = DEFAULT_NODE_BUDGET) -> JsrBounds:

@@ -13,6 +13,12 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
+# Relative slack on a cheap norm cap.  An eigenvalue or singular value that a
+# backward-stable solver returns exceeds a cap of the matrix by O(n eps) at
+# most, far below this, so a matrix whose cap misses a target by more than
+# the slack cannot reach it.
+CAP_SLACK = 1e-9
+
 
 def sign_flips(basis: np.ndarray) -> np.ndarray:
     """Per-column factor, +1 or -1, that makes the largest-magnitude entry positive.
@@ -80,6 +86,36 @@ def spectral_norms(mats: np.ndarray) -> np.ndarray:
         return np.zeros(mats.shape[:-2])
     sv = np.linalg.svd(mats, compute_uv=False)
     return sv[..., 0]
+
+
+def frobenius_norms(mats: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix in a stack, never below the true norm past roundoff.
+
+    Squares that underflow lose at most the smallest normal float each, which
+    is added back, so the result stays a cap on the spectral norm even for
+    tiny entries.  Large entries overflow to ``inf``, which is still a cap.
+    """
+    mats = np.asarray(mats, dtype=float)
+    squares = np.einsum("...ij,...ij->...", mats, mats)
+    return np.sqrt(squares + mats.shape[-1] * mats.shape[-2] * np.finfo(float).tiny)
+
+
+def max_spectral_norm(mats: np.ndarray) -> float:
+    """``np.max(spectral_norms(mats))``, with an SVD only for the matrices that can attain it.
+
+    The spectral norm never exceeds the Frobenius norm, so once the matrix of
+    largest Frobenius norm has given ``top``, a matrix whose Frobenius norm is
+    below ``top`` (less :data:`CAP_SLACK`) cannot hold the maximum.  The
+    survivors go through :func:`spectral_norms` unchanged, so the result is
+    the same float.
+    """
+    mats = np.asarray(mats, dtype=float)
+    fro = frobenius_norms(mats)
+    first = int(np.argmax(fro))
+    top = spectral_norms(mats[[first]])[0]
+    rivals = fro >= top * (1.0 - CAP_SLACK)
+    rivals[first] = False
+    return float(np.max(spectral_norms(mats[rivals]), initial=top))
 
 
 def spectral_radii(mats: np.ndarray) -> np.ndarray:

@@ -79,8 +79,8 @@ import numpy as np
 
 from .bisim import Subspace, largest_bisimulation
 from .core import Wfa, difference
-from .jsr import extend_products, wfa_spectral_radius
-from .linalg import spectral_norm, spectral_norms
+from .jsr import _decode_word, extend_products, wfa_spectral_radius
+from .linalg import max_spectral_norm, spectral_norm, spectral_norms
 
 DEFAULT_EPS = 1e-6
 DEFAULT_BUDGET = 1_000_000
@@ -225,7 +225,7 @@ def _certificates(stack: np.ndarray, depth: int, product_cap: int):
             if k**m > product_cap:
                 break
             prods = extend_products(scaled, prods)
-            top = float(np.max(spectral_norms(prods)))
+            top = max_spectral_norm(prods)
             if m == 1:
                 step = top
             theta = top ** (1.0 / m) if top > 0 else 0.0
@@ -424,15 +424,6 @@ def seminorm_interval(
         witness_prefix=_decode_word(*best, symbols),
         converged=(upper - lower) <= eps,
     )
-
-
-def _decode_word(length: int, idx: int, symbols: tuple[str, ...]) -> tuple[str, ...]:
-    """The word of ``length`` symbols whose base-k digits are ``idx``."""
-    word = []
-    for _ in range(length):
-        idx, digit = divmod(idx, len(symbols))
-        word.append(symbols[digit])
-    return tuple(reversed(word))
 
 
 def _canonical_key(a: Wfa):

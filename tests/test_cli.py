@@ -96,6 +96,17 @@ class TestBasicCommands:
         assert "lower 1.5" in out
         assert "upper 1.5" in out
 
+    def test_jsr_input_errors(self, growth_files, tmp_path, capsys):
+        _, a1 = growth_files
+        for budget in ("0", "-1"):
+            assert main(["jsr", a1, "--depth", "4", "--budget", budget]) == 1
+            assert capsys.readouterr().err == "error: node_budget must be at least 1\n"
+        huge = tmp_path / "huge.json"
+        save_wfa(Wfa(alphabet=("a",), alpha=[1.0, 0.0], beta=[1.0, 1.0],
+                     trans={"a": 1e200 * np.eye(2)}), str(huge))
+        assert main(["jsr", str(huge), "--depth", "3"]) == 1
+        assert capsys.readouterr().err == "error: products of length 2 overflow floating point\n"
+
     def test_irreducible(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         a = random_wfa(rng, n=2)

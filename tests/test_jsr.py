@@ -14,8 +14,8 @@ from wfametrics import (
     with_final,
     with_initial,
 )
-from wfametrics.jsr import extend_products
-from wfametrics.linalg import spectral_radii
+from wfametrics.jsr import DEFAULT_NODE_BUDGET, extend_products
+from wfametrics.linalg import spectral_norms, spectral_radii
 from conftest import random_stochastic, random_wfa
 
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -33,6 +33,66 @@ def brute_force_bracket(mats, depth):
         lower = max(lower, max(radii) ** (1.0 / t))
         upper = min(upper, max(norms) ** (1.0 / t))
     return lower, upper
+
+
+def full_enumeration_bounds(mats, depth, node_budget=DEFAULT_NODE_BUDGET):
+    """Reference jsr_bounds: an eigen solve and an SVD on every product, a tuple per word."""
+    gens = np.array(mats, dtype=float)
+    symbols = tuple(str(i) for i in range(len(gens)))
+    lower, witness, upper = 0.0, (), np.inf
+    level_complete, truncated = True, False
+    words, prods = [()], np.eye(gens.shape[1])[None]
+    for t in range(1, depth + 1):
+        words = [w + (s,) for w in words for s in symbols]
+        prods = extend_products(gens, prods)
+        radii = spectral_radii(prods)
+        best = int(np.argmax(radii))
+        cand = radii[best] ** (1.0 / t) if radii[best] > 0 else 0.0
+        if cand > lower:
+            lower, witness = float(cand), words[best]
+        norms = spectral_norms(prods)
+        if level_complete:
+            abs_prods = np.abs(prods)
+            for level_max in (float(np.max(norms)), float(np.max(abs_prods.sum(axis=2))),
+                              float(np.max(abs_prods.sum(axis=1)))):
+                upper = min(upper, level_max ** (1.0 / t) if level_max > 0 else 0.0)
+        if len(words) > node_budget and t < depth:
+            order = sorted(range(len(words)), key=lambda i: (-norms[i], words[i]))
+            keep = sorted(order[:node_budget])
+            words = [words[i] for i in keep]
+            prods = prods[keep]
+            level_complete, truncated = False, True
+    return min(lower, upper), upper, witness, truncated
+
+
+def _witness_radius(mats, witness):
+    """``rho(P)^(1/t)`` for the product ``P`` of the length-``t`` witness, one matrix at a time."""
+    prod = np.eye(len(mats[0]))
+    for sym in witness:
+        prod = mats[int(sym)] @ prod
+    return np.max(np.abs(np.linalg.eigvals(prod))) ** (1.0 / len(witness))
+
+
+def _family(rng, kind, n, k):
+    if kind == "random":
+        return [rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-1, 1) for _ in range(k)]
+    if kind == "nonnegative":
+        return [rng.random((n, n)) for _ in range(k)]
+    if kind == "triangular":
+        return [np.triu(rng.standard_normal((n, n))) for _ in range(k)]
+    if kind == "scaled-orthogonal":
+        return [rng.uniform(0.5, 2.0) * np.linalg.qr(rng.standard_normal((n, n)))[0]
+                for _ in range(k)]
+    if kind == "row-stochastic":
+        return [random_stochastic(rng, n) for _ in range(k)]
+    assert kind == "rank-one"
+    return [np.outer(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(k)]
+
+
+def assert_matches_full_enumeration(mats, depth, node_budget=DEFAULT_NODE_BUDGET):
+    b = jsr_bounds(mats, depth, node_budget)
+    assert (b.lower, b.upper, b.witness, b.truncated) == full_enumeration_bounds(
+        mats, depth, node_budget)
 
 
 class TestJsrBounds:
@@ -66,11 +126,14 @@ class TestJsrBounds:
 
     def test_witness_attains_lower(self):
         b = jsr_bounds(CLASSIC_PAIR, depth=6)
-        prod = np.eye(2)
-        for sym in b.witness:
-            prod = CLASSIC_PAIR[int(sym)] @ prod
-        radius = np.max(np.abs(np.linalg.eigvals(prod)))
-        assert radius ** (1.0 / len(b.witness)) == pytest.approx(b.lower, rel=1e-12)
+        assert _witness_radius(CLASSIC_PAIR, b.witness) == pytest.approx(b.lower, rel=1e-12)
+
+    def test_deep_pruned_witness_attains_lower(self):
+        # a witness of 78 pruned binary levels: its base-2 index overflows int64
+        mats = list(np.random.default_rng(57).standard_normal((2, 3, 3)))
+        b = jsr_bounds(mats, depth=80, node_budget=2)
+        assert b.truncated and len(b.witness) == 78
+        assert _witness_radius(mats, b.witness) == pytest.approx(b.lower, rel=1e-12)
 
     def test_extend_products_follows_witness_convention(self, rng):
         # index of word x1..xt in a level is its base-k value; the product is
@@ -120,6 +183,54 @@ class TestJsrBounds:
             jsr_bounds([np.eye(2), np.eye(3)], depth=2)
         with pytest.raises(ValueError):
             jsr_bounds([np.eye(2)], depth=0)
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="node_budget"):
+                jsr_bounds([np.eye(2)], depth=2, node_budget=budget)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_is_named(self, bad):
+        mat = np.eye(2)
+        mat[0, 1] = bad
+        with pytest.raises(ValueError, match="matrix 1 "):
+            jsr_bounds([np.eye(2), mat], depth=2)
+        with pytest.raises(ValueError, match="matrix 1 "):
+            is_irreducible([np.eye(2), mat])
+        with pytest.raises(ValueError, match="matrix 1 "):
+            hausdorff_distance([np.eye(2)], [np.eye(2), mat])
+
+    def test_overflowing_level_is_named(self):
+        with pytest.raises(ValueError, match="length 2 overflow"):
+            jsr_bounds([1e200 * np.eye(2)], depth=3)
+        # entries that stay finite are fine even where their squares overflow
+        b = jsr_bounds([1e160 * np.eye(2)], depth=1)
+        assert b.lower == b.upper == 1e160
+
+    @pytest.mark.parametrize("kind", ["random", "nonnegative", "triangular",
+                                      "scaled-orthogonal", "row-stochastic", "rank-one"])
+    def test_matches_full_enumeration(self, kind):
+        # eigen and SVD work only on the products a cap cannot rule out leaves
+        # every bracket, witness and pruning decision bit for bit as it was
+        for seed in range(40):
+            rng = np.random.default_rng([len(kind), seed])
+            n, k, depth = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 9))
+            mats = _family(rng, kind, n, k)
+            assert_matches_full_enumeration(mats, depth)
+            assert_matches_full_enumeration(mats, depth, node_budget=int(rng.integers(1, 3 * k)))
+
+    @pytest.mark.parametrize("mats", [
+        [np.outer([1.0, 2.0, 2.0], [1.0, 2.0, 2.0]), np.outer([2.0, 1.0, 2.0], [2.0, 1.0, 2.0])],
+        [np.array([[0.5, 0.5], [0.25, 0.75]]), np.array([[1.0, 0.0], [0.5, 0.5]])],
+        [np.diag([2.0, -2.0, 1.0]), np.diag([1.0, 2.0, 2.0]), np.diag([-2.0, 0.5, 2.0])],
+        [3.0 * np.eye(3)[[1, 2, 0]], 3.0 * np.eye(3)[[0, 2, 1]]],
+        [0.5 * np.array([[0.6, -0.8], [0.8, 0.6]]), 0.5 * np.eye(2)],
+        [np.zeros((2, 2)), np.eye(2)],
+    ], ids=["xxT", "stochastic", "diagonal", "c-permutation", "c-rotation", "zero-and-identity"])
+    def test_radius_or_norm_equal_to_a_cap(self, mats):
+        # rho or sigma equals a cap exactly and radii tie across products, so
+        # only the slack keeps the products that set the bracket and the witness
+        for depth in (1, 4, 7):
+            assert_matches_full_enumeration(mats, depth)
+            assert_matches_full_enumeration(mats, depth, node_budget=2)
 
 
 class TestWfaSpectralRadius:

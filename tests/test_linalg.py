@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from wfametrics.linalg import DEFAULT_TOL, fix_signs, null_basis, sign_flips
+from wfametrics.linalg import (
+    DEFAULT_TOL,
+    fix_signs,
+    max_spectral_norm,
+    null_basis,
+    sign_flips,
+    spectral_norms,
+)
 
 
 def full_svd_null_basis(mat, tol=DEFAULT_TOL):
@@ -77,3 +84,26 @@ class TestSignFlips:
 
     def test_tie_and_negative_maximum(self):
         np.testing.assert_array_equal(sign_flips(np.array([[-2.0, 1.0], [2.0, -3.0]])), [-1.0, -1.0])
+
+
+class TestMaxSpectralNorm:
+    @pytest.mark.parametrize("scale", [1e-170, 1e-3, 1.0, 1e3, 1e170])
+    def test_equals_max_over_every_svd(self, scale):
+        # 1e-170 underflows the squares in the Frobenius norm, 1e170 overflows them
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            n, count = int(rng.integers(1, 7)), int(rng.integers(1, 40))
+            mats = scale * rng.standard_normal((count, n, n))
+            if count > 2:  # repeated and orthogonally equivalent matrices tie
+                mats[1] = mats[0]
+                mats[2] = mats[0] @ np.linalg.qr(rng.standard_normal((n, n)))[0]
+            assert max_spectral_norm(mats) == np.max(spectral_norms(mats))
+
+    @pytest.mark.parametrize("mats", [
+        np.stack([np.eye(3), 2.0 * np.eye(3), -2.0 * np.eye(3)]),
+        np.stack([np.outer([1.0, 2.0, 2.0], [2.0, 1.0, 2.0]), np.diag([9.0, 0.0, 0.0])]),
+        np.zeros((4, 2, 2)),
+        np.zeros((3, 0, 0)),
+    ], ids=["scaled-identity", "rank-one-vs-diagonal", "zero", "empty-matrices"])
+    def test_norm_equal_to_frobenius(self, mats):
+        assert max_spectral_norm(mats) == np.max(spectral_norms(mats))
