@@ -16,7 +16,6 @@ from wfametrics import (
     difference,
     distance,
     distance_upper_bound,
-    joint_tail_params,
     parameter_continuity_experiment,
     seminorm_interval,
 )
@@ -47,7 +46,7 @@ print("\nd(A, A) =", (iv.lower, iv.upper), "after", iv.nodes_expanded, "expansio
 
 # the closed-form parameter bound always dominates the true distance
 b = growth(1.25)
-bound = distance_upper_bound(a, b, gamma, joint_tail_params(a, b, gamma))
+bound = distance_upper_bound(a, b, gamma)
 iv = distance(a, b, gamma, eps=1e-8)
 print("\nparameter bound", round(bound, 6), ">= certified upper", round(iv.upper, 6))
 

@@ -40,7 +40,6 @@ from .metric import (
     compute_tail_params,
     distance,
     distance_upper_bound,
-    joint_tail_params,
     parameter_continuity_experiment,
     seminorm_interval,
     truncated_seminorm,

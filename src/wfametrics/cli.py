@@ -1,10 +1,10 @@
 """Command-line interface: one binary, one subcommand per capability.
 
-Exit codes: 0 success, 1 validation/input error, 2 discount certification
-failure, 3 budget exhausted with the (still valid, still printed) wide
-interval.  All numeric output uses 12 significant digits; CSV output starts
-with a ``# seed=`` line followed by a header row.  Runs are single-threaded
-and deterministic: the same command line produces byte-identical output.
+Exit codes: 0 success, 1 validation/input or usage error, 2 discount
+certification failure, 3 budget exhausted with the (still valid, still
+printed) wide interval.  All numeric output uses 12 significant digits; CSV
+output starts with a ``# seed=`` line followed by a header row.  Runs are
+single-threaded and deterministic: the same command line gives byte-identical output.
 """
 
 from __future__ import annotations
@@ -166,8 +166,7 @@ def cmd_seminorm(args) -> int:
 
 def cmd_bound(args) -> int:
     a1, a2 = load_wfa(args.wfa1), load_wfa(args.wfa2)
-    params = metric.joint_tail_params(a1, a2, args.gamma)
-    print(fmt(metric.distance_upper_bound(a1, a2, args.gamma, params)))
+    print(fmt(metric.distance_upper_bound(a1, a2, args.gamma)))
     return EXIT_OK
 
 
@@ -383,7 +382,10 @@ def _check_threads(value: str) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as err:  # argparse's usage-error status 2 means "cannot certify" here
+        raise SystemExit(EXIT_INVALID if err.code == 2 else err.code) from None
     try:
         _check_threads(args.threads)
         return args.func(args)

@@ -93,12 +93,14 @@ def jsr_bounds(
     """Bracket the joint spectral radius by product enumeration up to ``depth``.
 
     ``symbols`` labels the matrices for the witness string (defaults to
-    ``"0", "1", ...``).  When a level would exceed ``node_budget`` products it
-    is pruned to the largest-norm ``node_budget`` of them (ties broken
-    lexicographically); the result is then flagged ``truncated`` and the
-    upper bound stops improving, but both bounds remain valid.  Raises
-    ``ValueError`` for a non-finite matrix, ``node_budget < 1``, or a product
-    level that overflows floating point.
+    ``"0", "1", ...``).  Ties within a level (for the witness and in
+    pruning) go to the word whose first differing matrix comes earlier in
+    ``mats``, lexicographic order when ``symbols`` is sorted.  When a level
+    would exceed ``node_budget`` products it is pruned to the largest-norm
+    ``node_budget`` of them; the result is then flagged ``truncated`` and
+    the upper bound stops improving, but both bounds remain valid.  Raises
+    ``ValueError`` for a non-finite matrix, ``node_budget < 1``, or a
+    product level that overflows floating point.
     """
     gens = _as_square_stack(mats)
     k, n, _ = gens.shape
@@ -111,10 +113,6 @@ def jsr_bounds(
         symbols = tuple(str(i).zfill(width) for i in range(k))
     if len(symbols) != k:
         raise ValueError("need exactly one symbol per matrix")
-    if tuple(sorted(symbols)) != tuple(symbols):
-        order = sorted(range(k), key=lambda i: symbols[i])
-        gens = gens[order]
-        symbols = tuple(symbols[i] for i in order)
 
     if n == 0:
         return JsrBounds(0.0, 0.0, depth, ())

@@ -24,7 +24,7 @@ from .core import (
     prefix_states, reverse, symbol_list,
 )
 from .linalg import DEFAULT_TOL, numerical_rank, sign_flips, spectral_norm
-from .metric import CannotCertifyError, distance
+from .metric import CannotCertifyError, _checked_scales, distance
 
 _DEGENERATE_REL = 1e-14
 
@@ -68,6 +68,10 @@ class HankelBlock:
         hs = np.array(self.hs, dtype=float)
         if hp.shape != (np_,) or hs.shape != (ns,):
             raise ValueError("boundary vectors must match the index set sizes")
+        fields = [("H", h), ("hP", hp), ("hS", hs)] + [(f"Hsig[{s!r}]", m) for s, m in hsig.items()]
+        for name, arr in fields:
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} has non-finite entries")
         h.setflags(write=False)
         hp.setflags(write=False)
         hs.setflags(write=False)
@@ -194,8 +198,12 @@ def perturbation_experiment(
     the certified distance to ``a`` is bracketed.  Rows are
     ``(scale, hankel_err, d_lower, d_upper, ratio, status)`` with
     ``ratio = d_upper / scale``; pairs whose discount cannot be certified are
-    flagged ``"skipped"``.
+    flagged ``"skipped"``.  ``trials < 1`` or a negative or non-finite scale
+    raises ``ValueError``.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    noise_scales = _checked_scales(noise_scales)
     block = hankel_from_wfa(a, prefixes, suffixes)
     rank = minimize(a, tol).dim
     if rank == 0:
@@ -204,18 +212,16 @@ def perturbation_experiment(
     for idx, scale in enumerate(noise_scales):
         for trial in range(trials):
             rng = np.random.default_rng([seed, idx, trial])
-            noisy = _perturb_block(block, float(scale), rng)
+            noisy = _perturb_block(block, scale, rng)
             hankel_err = spectral_norm(noisy.h - block.h)
             try:
                 learned = spectral_learn(noisy, rank, tol)
                 interval = distance(a, learned, gamma, eps, budget)
             except CannotCertifyError:
-                rows.append((float(scale), hankel_err, np.nan, np.nan, np.nan, "skipped"))
+                rows.append((scale, hankel_err, np.nan, np.nan, np.nan, "skipped"))
                 continue
             ratio = interval.upper / scale if scale > 0 else np.nan
-            rows.append(
-                (float(scale), hankel_err, interval.lower, interval.upper, ratio, "ok")
-            )
+            rows.append((scale, hankel_err, interval.lower, interval.upper, ratio, "ok"))
     return rows
 
 

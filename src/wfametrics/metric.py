@@ -80,17 +80,28 @@ import numpy as np
 from .bisim import Subspace, largest_bisimulation
 from .core import Wfa, difference
 from .jsr import _decode_word, extend_products, wfa_spectral_radius
-from .linalg import max_spectral_norm, spectral_norm, spectral_norms
+from .linalg import max_spectral_norm, spectral_norm
 
 DEFAULT_EPS = 1e-6
 DEFAULT_BUDGET = 1_000_000
 _CERT_MARGIN = 1e-12
+_PRODUCT_CAP = 4096  # most products in one level of the certificate search
+_BALANCE_ITERS, _BALANCE_COND_CAP = 25, 1e8  # balance_scaling: rounds, largest d_max / d_min
 
 
 def _check_gamma(gamma: float) -> None:
     """Reject a discount that is not a positive finite number (NaN included)."""
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
+
+
+def _checked_scales(scales) -> list[float]:
+    """Perturbation scales as floats; each must be finite and non-negative."""
+    scales = [float(scale) for scale in scales]
+    for scale in scales:
+        if not 0.0 <= scale < math.inf:
+            raise ValueError(f"perturbation scales must be finite and non-negative, got {scale}")
+    return scales
 
 
 def _checked_vector(a: Wfa, v) -> np.ndarray:
@@ -104,7 +115,7 @@ def _checked_vector(a: Wfa, v) -> np.ndarray:
 
 
 class CannotCertifyError(Exception):
-    """Raised when no tail certificate with gamma * theta < 1 was found.
+    """Raised when no tail certificate with gamma * theta < 1 (or no UMDP alpha-set) was found.
 
     The discount may still be admissible; retry with a larger search depth
     or a smaller gamma.
@@ -168,7 +179,7 @@ def admissible_gamma_bound(a: Wfa, depth: int = 8) -> float:
     return 1.0 / upper
 
 
-def balance_scaling(mats, iters: int = 25, cond_cap: float = 1e8) -> np.ndarray:
+def balance_scaling(mats) -> np.ndarray:
     """Diagonal scaling roughly equalizing joint row and column norms.
 
     Heuristic only: any well-conditioned diagonal gives valid bounds, this one
@@ -177,7 +188,7 @@ def balance_scaling(mats, iters: int = 25, cond_cap: float = 1e8) -> np.ndarray:
     stack = np.stack([np.asarray(m, dtype=float) for m in mats])
     n = stack.shape[1]
     d = np.ones(n)
-    for _ in range(iters):
+    for _ in range(_BALANCE_ITERS):
         scaled = d[None, :, None] * stack / d[None, None, :]
         row = np.sqrt(np.sum(scaled**2, axis=(0, 2)))
         col = np.sqrt(np.sum(scaled**2, axis=(0, 1)))
@@ -185,8 +196,8 @@ def balance_scaling(mats, iters: int = 25, cond_cap: float = 1e8) -> np.ndarray:
         factor = np.ones(n)
         factor[ok] = (col[ok] / row[ok]) ** 0.25
         d = d * factor
-        if d.max() / d.min() > cond_cap:
-            d = np.clip(d, d.max() / cond_cap, None)
+        if d.max() / d.min() > _BALANCE_COND_CAP:
+            d = np.clip(d, d.max() / _BALANCE_COND_CAP, None)
     d = d / np.exp(np.mean(np.log(d)))
     return np.diag(d)
 
@@ -232,21 +243,19 @@ def _certificates(stack: np.ndarray, depth: int, product_cap: int):
             yield TailBoundParams(theta=theta, scaling=s_mat, block_len=m, step_norm=max(1.0, step))
 
 
-def compute_tail_params(
-    a: Wfa, gamma: float, depth: int = 8, *, product_cap: int = 4096
-) -> TailBoundParams:
+def compute_tail_params(a: Wfa, gamma: float, depth: int = 8) -> TailBoundParams:
     """Search for a scaling and block length certifying ``gamma * theta < 1``.
 
     Tries the identity scaling first, then a diagonal balancing scaling, with
-    block lengths ``1..depth`` (capped so no more than ``product_cap`` length-m
-    products are formed), and returns the first that certifies.  Raises
+    block lengths ``1..depth`` (capped so no more than 4096 length-m products
+    are formed), and returns the first that certifies.  Raises
     :class:`CannotCertifyError` if nothing certifies; the discount may still
     be admissible at higher depth.
     """
     _check_gamma(gamma)
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    for params in _certificates(a.trans_stack(), depth, product_cap):
+    for params in _certificates(a.trans_stack(), depth, _PRODUCT_CAP):
         if gamma * params.theta < 1.0 - _CERT_MARGIN:
             return params
     raise CannotCertifyError(
@@ -457,65 +466,43 @@ def distance(
     return seminorm_interval(diff, diff.alpha, gamma, eps, budget)
 
 
-def joint_tail_params(a1: Wfa, a2: Wfa, gamma: float) -> TailBoundParams:
-    """Single-step tail certificate valid for both automata at once.
+def distance_upper_bound(a1: Wfa, a2: Wfa, gamma: float) -> float:
+    """Closed-form upper bound on the distance from parameter differences.
 
-    Needed by :func:`distance_upper_bound`, whose inequality chain requires a
-    per-step bound ``|tau_s|_S, |tau'_s|_S <= theta`` in a common working
-    norm (block certificates do not apply there).
+    Evaluates, in a working norm ``|v|_S = ||S v||_2`` with ``nu = gamma * theta``,
+
+        (|a1| |b1-b2|_* + |b2|_* |a1-a2|) / (1-nu)
+        + gamma |a1| |b2|_* max_s |t1_s - t2_s| / (1-nu)^2
+
+    where ``theta = max_s max(|t1_s|_S, |t2_s|_S)`` is the joint per-step
+    bound of both transition families (the inequality chain needs a bound on
+    every single step, so block certificates do not apply).  ``S`` is the
+    candidate scaling of smallest ``theta`` among those that certify
+    ``nu < 1``; raises :class:`CannotCertifyError` when none does.
     """
     if a1.dim != a2.dim:
         raise ValueError(f"dimension mismatch: {a1.dim} vs {a2.dim}")
     if a1.alphabet != a2.alphabet:
         raise ValueError("alphabet mismatch")
     _check_gamma(gamma)
-    stack = np.concatenate([a1.trans_stack(), a2.trans_stack()])
+    if a1.dim == 0:
+        return 0.0
+    stack1, stack2 = a1.trans_stack(), a2.trans_stack()
+    stack = np.concatenate([stack1, stack2])
     candidates = _certificates(stack, 1, len(stack))
     certified = [p for p in candidates if gamma * p.theta < 1.0 - _CERT_MARGIN]
     if not certified:
         raise CannotCertifyError(
             f"no common single-step certificate with gamma * theta < 1 at gamma={gamma}"
         )
-    return min(certified, key=lambda p: p.theta)
-
-
-def distance_upper_bound(a1: Wfa, a2: Wfa, gamma: float, params: TailBoundParams) -> float:
-    """Closed-form upper bound on the distance from parameter differences.
-
-    Evaluates, in the working norm of ``params`` with ``nu = gamma * theta``,
-
-        (|a1| |b1-b2|_* + |b2|_* |a1-a2|) / (1-nu)
-        + gamma |a1| |b2|_* max_s |t1_s - t2_s| / (1-nu)^2
-
-    where ``theta`` is the joint per-step bound of both transition families.
-    Requires ``nu < 1``.  ``theta`` is recomputed from both automata in the
-    scaling of ``params`` rather than read from ``params.theta``: callers may
-    pass any certificate (a block one from :func:`compute_tail_params`, or one
-    made for another pair), and trusting its ``theta`` would make the bound
-    unsound.
-    """
-    if a1.dim != a2.dim:
-        raise ValueError(f"dimension mismatch: {a1.dim} vs {a2.dim}")
-    if a1.alphabet != a2.alphabet:
-        raise ValueError("alphabet mismatch")
-    _check_gamma(gamma)
-    n = a1.dim
-    if n == 0:
-        return 0.0
-    s_mat = params.scaling
+    params = min(certified, key=lambda p: p.theta)
+    s_mat, nu = params.scaling, gamma * params.theta
     s_inv = np.linalg.inv(s_mat)
-    stack1, stack2 = a1.trans_stack(), a2.trans_stack()
-    norms = spectral_norms(_conjugate(s_mat, np.concatenate([stack1, stack2, stack1 - stack2])))
-    k2 = 2 * len(stack1)
-    theta = float(np.max(norms[:k2]))
-    nu = gamma * theta
-    if nu >= 1.0:
-        raise ValueError(f"nu = gamma * theta = {nu} >= 1; bound does not apply")
     alpha_norm = float(np.linalg.norm(s_mat @ a1.alpha))
     beta_diff = float(np.linalg.norm(s_inv.T @ (a1.beta - a2.beta)))
     beta2_dual = float(np.linalg.norm(s_inv.T @ a2.beta))
     alpha_diff = float(np.linalg.norm(s_mat @ (a1.alpha - a2.alpha)))
-    tau_diff = float(np.max(norms[k2:]))
+    tau_diff = max_spectral_norm(_conjugate(s_mat, stack1 - stack2))
     return (alpha_norm * beta_diff + beta2_dual * alpha_diff) / (1.0 - nu) + (
         gamma * alpha_norm * beta2_dual * tau_diff
     ) / (1.0 - nu) ** 2
@@ -562,9 +549,10 @@ def parameter_continuity_experiment(
     spectral norm for matrices), then records
     ``(scale, distance lower, distance upper, closed-form bound)``.
     Rows where the discount cannot be certified for the pair carry NaNs.
+    A scale that is negative or not finite raises ``ValueError``.
     """
     rows = []
-    for idx, scale in enumerate(perturbation_scales):
+    for idx, scale in enumerate(_checked_scales(perturbation_scales)):
         rng = np.random.default_rng([seed, idx])
         n = a.dim
         alpha = a.alpha + _random_vector(rng, n, scale)
@@ -573,10 +561,10 @@ def parameter_continuity_experiment(
         perturbed = Wfa(alphabet=a.alphabet, alpha=alpha, beta=beta, trans=trans)
         try:
             interval = distance(a, perturbed, gamma, eps, budget)
-            bound = distance_upper_bound(a, perturbed, gamma, joint_tail_params(a, perturbed, gamma))
-            rows.append((float(scale), interval.lower, interval.upper, bound))
+            bound = distance_upper_bound(a, perturbed, gamma)
+            rows.append((scale, interval.lower, interval.upper, bound))
         except CannotCertifyError:
-            rows.append((float(scale), np.nan, np.nan, np.nan))
+            rows.append((scale, np.nan, np.nan, np.nan))
     return rows
 
 

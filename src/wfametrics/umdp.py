@@ -27,8 +27,10 @@ iterate satisfies the inequality in exact arithmetic.  After it stops, every
 ``alpha_a`` is lifted by the measured floating-point violation divided by
 ``1 - gamma`` (the kernels are row-stochastic, so a constant lift ``c``
 gains ``(1 - gamma) c`` of slack) plus a rounding margin, and the
-inequality is checked again in floating point.  If that check fails, the
-search falls back to the generic bound.
+inequality is checked again in floating point.  If that check fails (only
+seen at ``1 - gamma < 3e-13``) the search raises ``CannotCertifyError``: the
+generic bound cannot help there, as the transposed kernels have joint
+spectral radius 1 and its certificate needs ``gamma < 1 - 1e-12``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from .core import (
     Wfa, as_word, check_document, float_array, json_text, load_json, matrix_map,
     prefix_states, symbol_list,
 )
-from .metric import DEFAULT_BUDGET, DEFAULT_EPS, CertifiedInterval, seminorm_interval
+from .metric import DEFAULT_BUDGET, DEFAULT_EPS, CannotCertifyError, CertifiedInterval
+from .metric import seminorm_interval
 
 _STOCHASTIC_TOL = 1e-12
 # value iteration for the alpha-set stops at its floating-point fixed point or here
@@ -149,15 +152,12 @@ def umdp_sup_value_interval(
 ) -> CertifiedInterval:
     """Certified bracket for the sup over action sequences of the value of ``u``.
 
-    The search uses the alpha-vector node bound of the module docstring, or
-    the generic bound of :func:`~wfametrics.metric.seminorm_interval` if the
-    alpha-set fails its floating-point check.
+    The search uses the alpha-vector node bound of the module docstring.
+    Raises ``ValueError`` when ``max(beta) / (1 - gamma)`` overflows, and
+    :class:`~wfametrics.metric.CannotCertifyError` when the alpha-set fails its check.
     """
     a = umdp_to_wfa(u)
-    alphas = _alpha_vectors(u)
-    if alphas is None:
-        return seminorm_interval(a, a.alpha, u.gamma, eps, budget)
-    bound = _AlphaVectorBound(alphas, u.beta)
+    bound = _AlphaVectorBound(_alpha_vectors(u), u.beta)
     return seminorm_interval(a, a.alpha, u.gamma, eps, budget, node_bound=bound)
 
 
@@ -181,12 +181,12 @@ def _is_supersolution(kernels, beta, gamma, alphas) -> bool:
     return bool(np.all(alphas >= _backup(kernels, beta, gamma, alphas) + slack))
 
 
-def _alpha_vectors(u: Umdp) -> np.ndarray | None:
-    """Alpha-set rows (one per action) that pass :func:`_is_supersolution`, or ``None``."""
+def _alpha_vectors(u: Umdp) -> np.ndarray:
+    """Alpha-set rows (one per action) that pass :func:`_is_supersolution`, or an error."""
     kernels = np.concatenate([u.trans[act] for act in u.actions])
     top = float(np.max(u.beta)) / (1.0 - u.gamma)
-    if not np.isfinite(top):  # the value bound overflows
-        return None
+    if not np.isfinite(top):
+        raise ValueError(f"the value bound max(beta) / (1 - gamma) = {top} overflows")
     alphas = np.full((len(u.actions), u.num_states), top)
     for _ in range(_ALPHA_ITERATIONS):
         new = _backup(kernels, u.beta, u.gamma, alphas)
@@ -197,7 +197,12 @@ def _alpha_vectors(u: Umdp) -> np.ndarray | None:
     # the lift leaves (1 - gamma) * lift - violation = margin of slack; zero rewards give zero
     margin = 2.0 * _rounding_slack(u.num_states, top)
     alphas = alphas + (violation + margin) / (1.0 - u.gamma)
-    return alphas if _is_supersolution(kernels, u.beta, u.gamma, alphas) else None
+    if not _is_supersolution(kernels, u.beta, u.gamma, alphas):
+        raise CannotCertifyError(
+            f"the alpha-vector bound fails its floating-point check at gamma={u.gamma}; "
+            "try a smaller gamma"
+        )
+    return alphas
 
 
 class _AlphaVectorBound:

@@ -21,7 +21,6 @@ from wfametrics import (
     hankel_from_wfa,
     is_observable,
     is_reachable,
-    joint_tail_params,
     jsr_bounds,
     minimize,
     perturbation_experiment,
@@ -199,9 +198,7 @@ def test_criterion_06_bound_dominance():
             beta=a.beta + scale * rng.standard_normal(3),
             trans={s: a.trans[s] + scale * rng.standard_normal((3, 3)) for s in a.alphabet},
         )
-        params = joint_tail_params(a, b, gamma)
-        assert gamma * params.theta < 1.0
-        bound = distance_upper_bound(a, b, gamma, params)
+        bound = distance_upper_bound(a, b, gamma)  # raises unless gamma * theta < 1
         iv = distance(a, b, gamma, eps=1e-6, budget=200_000)
         assert bound >= iv.lower - 1e-12
         if iv.converged:

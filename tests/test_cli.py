@@ -6,6 +6,7 @@ import pytest
 from wfametrics import Wfa, hankel_from_wfa, load_wfa, save_wfa, wfa_from_dict, wfa_to_dict
 from wfametrics.cli import main, tokenize_word
 from wfametrics.learn import block_to_dict
+from wfametrics import umdp as umdp_mod
 from wfametrics.umdp import Umdp, save_umdp, umdp_to_dict
 from conftest import duplicated_copy, random_stochastic, random_wfa
 
@@ -218,6 +219,27 @@ class TestValidationErrors:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["distance", "{a}"],
+        ["jsr", "{a}", "--depth", "abc"],
+        [],
+    ])
+    def test_usage_error_exit_one(self, growth_files, argv, capsys):
+        # exit 2 is reserved for a discount that cannot be certified
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(a=growth_files[0]) for arg in argv])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["jsr", "--help"]])
+    def test_help_exit_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: " in capsys.readouterr().out
+
     def test_threads_one_accepted(self, growth_files, capsys):
         _, a1 = growth_files
         assert main(["--threads", "1", "eval", a1, "--word", "aa"]) == 0
@@ -255,6 +277,10 @@ MALFORMED = {
     "block-prefix-number": ("block", lambda d: {**d, "prefixes": [[], 1]}),
     "block-hsig-list": ("block", lambda d: {**d, "Hsig": []}),
     "block-alphabet-number": ("block", lambda d: {**d, "alphabet": 3}),
+    "block-h-nan": ("block", lambda d: {**d, "H": [[float("nan"), 1.0], [1.0, 1.0]]}),
+    "block-hsig-inf": ("block", lambda d: {**d, "Hsig": {"a": [[1.0, float("inf")], [1.0, 1.0]]}}),
+    "block-hp-nan": ("block", lambda d: {**d, "hP": [float("nan"), 1.0]}),
+    "block-hs-inf": ("block", lambda d: {**d, "hS": [1.0, float("-inf")]}),
     "vector-object": ("vector", lambda d: {"x": 1.0}),
 }
 
@@ -390,6 +416,16 @@ class TestUmdpCommands:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ") and "overflows" in captured.err
 
+    def test_sup_failed_alpha_check_exit_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(umdp_mod, "_is_supersolution", lambda *args: False)
+        u = Umdp(actions=("a",), alpha=[1.0], beta=[1.0], trans={"a": [[1.0]]}, gamma=0.5)
+        path = tmp_path / "u.json"
+        save_umdp(u, str(path))
+        assert main(["umdp", "sup", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the alpha-vector bound fails")
+
 
 def _dist_after(u, word, steps):
     dist = np.array(u.alpha)
@@ -428,6 +464,28 @@ class TestExperimentsAndDeterminism:
         lines = text1.splitlines()
         assert lines[0] == "# seed=11"
         assert lines[1] == "scale,hankel_err,d_lower,d_upper,ratio,status"
+
+    @pytest.mark.parametrize("experiment,flag,value,message", [
+        ("learn", "--trials", "0", "trials must be at least 1, got 0"),
+        ("learn", "--trials", "-1", "trials must be at least 1, got -1"),
+        ("learn", "--scales", "-0.1", "got -0.1"),
+        ("learn", "--scales", "nan", "got nan"),
+        ("continuity", "--scales", "-0.1", "got -0.1"),
+        ("continuity", "--scales", "inf", "got inf"),
+        ("continuity", "--scales", "nan", "got nan"),
+    ])
+    def test_bad_experiment_input_exit_one(self, tmp_path, experiment, flag, value, message,
+                                           capsys):
+        src = tmp_path / "a.json"
+        save_wfa(random_wfa(np.random.default_rng(5), n=2, norm_cap=0.7), str(src))
+        argv = ["experiment", experiment, str(src), "--gamma", "0.3"]
+        if flag != "--scales":
+            argv += ["--scales", "0.01"]
+        assert main(argv + [flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_json_outputs_reparse(self, tmp_path, growth_files):
         a, a1 = growth_files

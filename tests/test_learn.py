@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,17 @@ class TestPerturbationExperiment:
         ratios = [r[4] for r in rows]
         assert max(ratios) / min(ratios) <= 10.0
 
+    @pytest.mark.parametrize("scales,trials,message", [
+        ([1e-3], 0, "trials must be at least 1, got 0"),
+        ([1e-3, -1e-3], 1, "got -0.001"),
+        ([np.inf], 1, "got inf"),
+    ])
+    def test_bad_inputs_rejected(self, rng, scales, trials, message):
+        a = random_wfa(rng, n=2, norm_cap=0.7)
+        words = all_words(a.alphabet, 2)
+        with pytest.raises(ValueError, match=message):
+            perturbation_experiment(a, words, words, scales, gamma=0.3, trials=trials)
+
     def test_deterministic_given_seed(self, rng):
         a = random_wfa(rng, n=2, norm_cap=0.7)
         words = all_words(a.alphabet, 2)
@@ -199,6 +212,22 @@ class TestBlockJson:
         assert np.array_equal(back.hp, block.hp)
         for sym in block.alphabet:
             assert np.array_equal(back.hsig[sym], block.hsig[sym])
+
+    @pytest.mark.parametrize("field,name", [
+        ("H", "H"), ("Hsig", "Hsig['a']"), ("hP", "hP"), ("hS", "hS"),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_named(self, field, name, bad):
+        # a NaN in H once reached the SVD and failed there with "SVD did not converge"
+        doc = block_to_dict(hankel_from_wfa(growth_automaton(), [(), ("a",)], [(), ("a",)]))
+        if field == "Hsig":
+            doc["Hsig"]["a"][1][0] = bad
+        elif field == "H":
+            doc["H"][0][1] = bad
+        else:
+            doc[field][1] = bad
+        with pytest.raises(ValueError, match=f"{re.escape(name)} has non-finite entries"):
+            block_from_dict(doc)
 
     def test_missing_field(self):
         with pytest.raises(ValueError, match="Hsig"):

@@ -1,4 +1,3 @@
-import dataclasses
 import heapq
 
 import numpy as np
@@ -14,7 +13,6 @@ from wfametrics import (
     distance,
     distance_upper_bound,
     evaluate,
-    joint_tail_params,
     largest_bisimulation,
     parameter_continuity_experiment,
     seminorm_interval,
@@ -22,6 +20,7 @@ from wfametrics import (
     with_initial,
 )
 from wfametrics.linalg import DEFAULT_TOL, spectral_norm
+from wfametrics import metric
 from wfametrics.metric import DEFAULT_BUDGET, _BoundData, balance_scaling
 from conftest import all_words, duplicated_copy, pad_with_zero_state, random_stochastic, random_wfa
 
@@ -124,15 +123,16 @@ TAIL_CASES = {
 
 class TestTailParams:
     @pytest.mark.parametrize("case", list(TAIL_CASES))
-    def test_matches_from_scratch_reference(self, case):
+    def test_matches_from_scratch_reference(self, case, monkeypatch):
         a, gamma, depth, cap, expected = TAIL_CASES[case]
+        monkeypatch.setattr(metric, "_PRODUCT_CAP", cap)
         ref = reference_tail_params(a, gamma, depth, cap)
         if expected == "raises":
             assert ref is None
             with pytest.raises(CannotCertifyError):
-                compute_tail_params(a, gamma, depth, product_cap=cap)
+                compute_tail_params(a, gamma, depth)
             return
-        params = compute_tail_params(a, gamma, depth, product_cap=cap)
+        params = compute_tail_params(a, gamma, depth)
         theta, block_len, step_norm, scaling = ref
         assert params.theta == theta
         assert params.block_len == block_len
@@ -713,29 +713,17 @@ class TestDistanceUpperBound:
             ref = per_matrix_joint_certificate(a, b, gamma)
             if ref is None:
                 with pytest.raises(CannotCertifyError):
-                    joint_tail_params(a, b, gamma)
+                    distance_upper_bound(a, b, gamma)
                 continue
-            params = joint_tail_params(a, b, gamma)
-            assert params.theta == ref[0]
-            assert np.array_equal(params.scaling, ref[1])
-            # a block certificate of one automaton supplies only the scaling
-            for p in (params, compute_tail_params(a, gamma)):
-                expected = per_matrix_upper_bound(a, b, gamma, p.scaling)
-                if expected is None:
-                    with pytest.raises(ValueError):
-                        distance_upper_bound(a, b, gamma, p)
-                else:
-                    assert distance_upper_bound(a, b, gamma, p) == expected
+            assert distance_upper_bound(a, b, gamma) == per_matrix_upper_bound(a, b, gamma, ref[1])
 
     def test_identical_automata_zero(self, rng):
         a = random_wfa(rng)
-        params = joint_tail_params(a, a, gamma=0.5)
-        assert distance_upper_bound(a, a, 0.5, params) == 0.0
+        assert distance_upper_bound(a, a, 0.5) == 0.0
 
     def test_growth_pair_value(self):
         a1, a2 = growth_pair(2)
-        params = joint_tail_params(a1, a2, gamma=0.5)
-        bound = distance_upper_bound(a1, a2, 0.5, params)
+        bound = distance_upper_bound(a1, a2, 0.5)
         # gamma * |tau - tau_i| / (1 - nu)^2 with nu = 0.625 under l2 scaling
         assert bound == pytest.approx(0.5 * 0.25 / 0.140625, rel=1e-9)
         assert bound >= 2.0 / 3.0
@@ -752,48 +740,38 @@ class TestDistanceUpperBound:
                 beta=a.beta + 0.05 * rng.standard_normal(3),
                 trans=noise,
             )
-            params = joint_tail_params(a, b, gamma=0.5)
-            bound = distance_upper_bound(a, b, 0.5, params)
+            bound = distance_upper_bound(a, b, 0.5)
             iv = distance(a, b, gamma=0.5, eps=1e-6)
             assert bound >= iv.lower - 1e-12
             if iv.converged:
                 assert bound >= iv.upper - 1e-9
 
-    def test_theta_is_recomputed_not_trusted(self, rng):
-        a1 = random_wfa(rng, n=3, norm_cap=0.7)
-        a2 = random_wfa(rng, n=3, norm_cap=0.6)
-        params = joint_tail_params(a1, a2, gamma=0.5)
-        bound = distance_upper_bound(a1, a2, 0.5, params)
-        assert bound > 0.0
-        forged = dataclasses.replace(params, theta=0.0)
-        assert distance_upper_bound(a1, a2, 0.5, forged) == bound
-
     def test_nu_must_be_below_one(self):
+        # rate 1.5 at gamma 0.7: nu = 1.05 in every candidate scaling
         a = one_state(1.5)
-        params = joint_tail_params(a, a, gamma=0.5)
-        with pytest.raises(ValueError):
-            distance_upper_bound(a, a, 0.7, params)
+        assert distance_upper_bound(a, a, 0.6) == 0.0
+        with pytest.raises(CannotCertifyError, match="gamma=0.7"):
+            distance_upper_bound(a, a, 0.7)
 
     @pytest.mark.parametrize("gamma", [np.nan, -0.5, 0.0])
     def test_invalid_gamma_rejected(self, gamma):
         # a NaN gamma once passed the nu >= 1 check and returned NaN, a
         # negative one returned a negative bound
         a1, a2 = one_state(0.5), one_state(0.4)
-        params = joint_tail_params(a1, a2, gamma=0.5)
         with pytest.raises(ValueError, match="gamma"):
-            distance_upper_bound(a1, a2, gamma, params)
+            distance_upper_bound(a1, a2, gamma)
 
     def test_empty_automata(self):
         empty = Wfa(alphabet=("a",), alpha=np.zeros(0), beta=np.zeros(0),
                     trans={"a": np.zeros((0, 0))})
-        params = joint_tail_params(empty, empty, gamma=0.9)
-        assert params.theta == 0.0
-        assert distance_upper_bound(empty, empty, 0.9, params) == 0.0
+        assert distance_upper_bound(empty, empty, 0.9) == 0.0
 
     def test_cannot_certify_joint(self):
-        a = one_state(1.5)
-        with pytest.raises(CannotCertifyError):
-            joint_tail_params(a, a, gamma=0.7)
+        # the certificate must hold for both automata: a1 alone certifies, the pair does not
+        a1, a2 = one_state(0.5), one_state(1.5)
+        assert distance_upper_bound(a1, a1, 0.7) == 0.0
+        with pytest.raises(CannotCertifyError, match="no common single-step certificate"):
+            distance_upper_bound(a1, a2, 0.7)
 
 
 class TestContinuityExperiment:
@@ -804,6 +782,13 @@ class TestContinuityExperiment:
         assert scale == 0.0
         assert upper <= 1e-6
         assert bound <= 1e-9
+
+    @pytest.mark.parametrize("scale", [-0.1, np.nan, np.inf])
+    def test_bad_scale_rejected(self, rng, scale):
+        # a negative scale once printed -0.1 for a perturbation of norm 0.1
+        a = random_wfa(rng, n=2, norm_cap=0.7)
+        with pytest.raises(ValueError, match=f"got {scale}"):
+            parameter_continuity_experiment(a, [0.01, scale], gamma=0.4)
 
     def test_upper_decreases_with_scale(self, rng):
         a = random_wfa(rng, n=3, norm_cap=0.7)

@@ -263,7 +263,6 @@ class TestAlphaVectorBound:
                 u = Umdp(actions=u.actions, alpha=u.alpha, beta=np.zeros(u.num_states),
                          trans=u.trans, gamma=u.gamma)
             alphas = umdp_mod._alpha_vectors(u)
-            assert alphas is not None
             for i, act in enumerate(u.actions):
                 backup = np.max([u.trans[act] @ alphas[j] for j in range(len(u.actions))], axis=0)
                 assert np.all(alphas[i] >= u.beta + u.gamma * backup)
@@ -276,21 +275,26 @@ class TestAlphaVectorBound:
     def test_no_alpha_set_when_the_value_bound_overflows(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no inf * 0 in the iteration
-            assert umdp_mod._alpha_vectors(self.OVERFLOWING) is None
+            with pytest.raises(ValueError, match="overflows"):
+                umdp_mod._alpha_vectors(self.OVERFLOWING)
 
     def test_overflowing_value_rejected_before_the_search(self):
-        # the generic fallback's root bound is inf; the search used to spend its whole budget
+        # the search once spent its whole budget on an infinite root bound
         with pytest.raises(ValueError, match="overflows"):
             umdp_sup_value_interval(self.OVERFLOWING, budget=20_000)
 
-    def test_failed_check_falls_back_to_generic_bound(self, rng, monkeypatch):
+    def test_failed_check_cannot_certify(self, rng, monkeypatch):
         monkeypatch.setattr(umdp_mod, "_is_supersolution", lambda *args: False)
-        for gamma in (0.5, 0.8):
-            u = random_umdp(rng, n=3, gamma=gamma)
-            a = umdp_to_wfa(u)
-            for eps, budget in ((1e-6, 3000), (1e-15, 40)):
-                got = umdp_sup_value_interval(u, eps, budget)
-                assert got == seminorm_interval(a, a.alpha, gamma, eps, budget)
+        u = random_umdp(rng, n=3, gamma=0.5)
+        with pytest.raises(CannotCertifyError, match="alpha-vector bound"):
+            umdp_sup_value_interval(u)
+
+    def test_discount_next_to_one_cannot_certify(self, rng):
+        # at 1 - gamma ~ 7e-16 the lift cannot beat the rounding of the backup
+        u = random_umdp(rng, n=3, gamma=1.0 - 7e-16)
+        assert 1.0 - u.gamma < 7e-16
+        with pytest.raises(CannotCertifyError, match="alpha-vector bound"):
+            umdp_sup_value_interval(u)
 
     def test_tighter_than_generic_bound_at_equal_budget(self, rng):
         u = random_umdp(rng, n=4, actions=("a", "b", "c"), gamma=0.8)
