@@ -124,12 +124,31 @@ def prefix_states(a: Wfa, word: Iterable[str]) -> np.ndarray:
     return states
 
 
+def discounted_sum(a: Wfa, word: Iterable[str], gamma: float) -> float:
+    """Partial value ``sum_{t<=len(word)} gamma^t |beta . tau_{x<=t}(alpha)|`` of ``word``.
+
+    ``gamma^t`` is a running product, so every caller sums a word's prefixes
+    in the same order and gets the same bits.
+    """
+    total, gpow = 0.0, 1.0
+    for state in prefix_states(a, word):
+        total += gpow * abs(float(state @ a.beta))
+        gpow *= gamma
+    return total
+
+
 def evaluate(a: Wfa, word: Iterable[str]) -> float:
     """Value of ``a`` on ``word``: ``beta . tau_word(alpha)``.
 
-    The empty word gives ``beta . alpha``.
+    The empty word gives ``beta . alpha``.  Raises ``ValueError`` when the
+    value overflows floating point.
     """
-    return float(a.beta @ prefix_states(a, word)[-1])
+    word = a.check_word(word)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(a.beta @ prefix_states(a, word)[-1])
+    if not np.isfinite(value):
+        raise ValueError(f"the value of {format_word(word)} overflows floating point")
+    return value
 
 
 def reverse(a: Wfa) -> Wfa:

@@ -97,20 +97,23 @@ def hankel_from_wfa(a: Wfa, prefixes: Sequence, suffixes: Sequence) -> HankelBlo
     if () not in prefixes or () not in suffixes:
         raise ValueError("prefix and suffix sets must both contain the empty word")
 
-    fwd = np.array([prefix_states(a, p)[-1] for p in prefixes])
     rev = reverse(a)
-    bwd = np.array([prefix_states(rev, s[::-1])[-1] for s in suffixes])
-
-    h = fwd @ bwd.T
-    hsig = {sym: fwd @ a.trans[sym].T @ bwd.T for sym in a.alphabet}
+    with np.errstate(over="ignore", invalid="ignore"):
+        fwd = np.array([prefix_states(a, p)[-1] for p in prefixes])
+        bwd = np.array([prefix_states(rev, s[::-1])[-1] for s in suffixes])
+        h = fwd @ bwd.T
+        hsig = {sym: fwd @ a.trans[sym].T @ bwd.T for sym in a.alphabet}
+        hp, hs = fwd @ a.beta, bwd @ a.alpha
+    if not all(np.all(np.isfinite(m)) for m in (h, hp, hs, *hsig.values())):
+        raise ValueError("the Hankel block of this automaton overflows floating point")
     return HankelBlock(
         alphabet=a.alphabet,
         prefixes=tuple(prefixes),
         suffixes=tuple(suffixes),
         h=h,
         hsig=hsig,
-        hp=fwd @ a.beta,
-        hs=bwd @ a.alpha,
+        hp=hp,
+        hs=hs,
     )
 
 

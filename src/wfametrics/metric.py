@@ -30,12 +30,25 @@ Node bound
 :func:`seminorm_interval` runs one search loop over any :class:`NodeBound`,
 whose one method ``children(states)`` returns, for each row ``u`` of
 ``states``, the partial value ``|beta . u|`` and a bound on ``R(u)`` (defined
-below), as two lists.  It is called once per expanded node on the node's
-``k`` children, and once on the root as the one-row ``v[None]``.  The
-default is the generic bound below, valid for every automaton;
+below), as two lists, and a third item: ``None``, or the lasso values.  It
+is called once per expanded node on the node's ``k`` children, and once on
+the root as the one-row ``v[None]``.  The default is the generic bound
+below, valid for every automaton, and it returns no lasso values;
 ``node_bound=`` is the extension point for bounds that know more about the
 automaton (:mod:`wfametrics.umdp` passes an alpha-vector bound that uses
 the non-negativity of distributions and rewards).
+
+Lasso values are optional lower candidates.  Entry ``c * m + i`` (for ``m``
+rows) estimates the value, from row ``i`` on, of the lasso that repeats the
+``c``-th alphabet symbol forever after that row's word.  The values only
+rank: the search keeps the best lasso, less the bound's ``lasso_margin``, as
+a floor for its gap test, and at exit writes it out as its word followed by
+the symbol, up to ``lasso_length`` symbols in all.  That word's partial
+value, summed forward, becomes ``lower`` (and the word ``witness_prefix``)
+when it beats the best prefix, and ``converged`` is judged on that
+``lower``.  A bound that returns lasso values does so on every call and sets
+``lasso_length`` and ``lasso_margin`` so that the margin covers the dropped
+tail and the rounding of the estimate.
 
 For a prefix ``y`` of length ``d`` with state ``u = tau_y v`` and partial value
 ``P(y) = sum_{t<=d} gamma^t |beta(tau_{y<=t} v)|``, the remaining supremum is
@@ -78,7 +91,7 @@ from typing import Protocol
 import numpy as np
 
 from .bisim import Subspace, largest_bisimulation
-from .core import Wfa, difference
+from .core import Wfa, difference, discounted_sum, with_initial
 from .jsr import _decode_word, extend_products, wfa_spectral_radius
 from .linalg import max_spectral_norm, spectral_norm
 
@@ -277,8 +290,8 @@ def _discounted_chain_sum(gamma: float, params: TailBoundParams) -> float:
 class NodeBound(Protocol):
     """A branch-and-bound node bound; see "Node bound" in the module docstring."""
 
-    def children(self, states: np.ndarray) -> tuple[list[float], list[float]]:
-        """``|beta . u|`` and the bound on ``R(u)`` for each row ``u`` of ``states``."""
+    def children(self, states: np.ndarray) -> tuple[list[float], list[float], list[float] | None]:
+        """``|beta . u|`` and the bound on ``R(u)`` for each row ``u`` of ``states``; lasso values or None."""
 
 
 class _BoundData:
@@ -311,7 +324,7 @@ class _BoundData:
             self.kernel_map = None
             self.resid_coeff = 0.0
 
-    def children(self, states: np.ndarray) -> tuple[list[float], list[float]]:
+    def children(self, states: np.ndarray) -> tuple[list[float], list[float], None]:
         # This runs once per expanded node.  sqrt(y.dot(y)) is what
         # np.linalg.norm computes for a real vector, without its call overhead;
         # ndarray.dot runs the same BLAS gemv as @ with less dispatch; one gemm
@@ -328,7 +341,7 @@ class _BoundData:
                 y = kernel_map.dot(state)
                 rem += resid_coeff * sqrt(y.dot(y))
             rems.append(rem)
-        return np.abs(states.dot(self.beta)).tolist(), rems
+        return np.abs(states.dot(self.beta)).tolist(), rems, None
 
 
 def seminorm_interval(
@@ -374,7 +387,7 @@ def seminorm_interval(
     with np.errstate(over="ignore"):
         if node_bound is None:
             node_bound = _BoundData(a, gamma, params, largest_bisimulation(a))
-        bvals, rems = node_bound.children(v[None])
+        bvals, rems, lassos = node_bound.children(v[None])
     stack = a.trans_stack()
     symbols = a.alphabet
 
@@ -384,6 +397,12 @@ def seminorm_interval(
         raise ValueError(f"the root node bound is {upper}: the value overflows floating point")
     best = (0, 0)  # (length, word index) of the witness
     nodes_expanded = 0
+    # the best lasso less its margin (a floor for the gap test only), and where
+    # it is: (depth and word index of the first row, rows, lasso values)
+    lasso_floor, lasso_at = -math.inf, None
+    if lassos is not None:
+        lasso_margin = node_bound.lasso_margin
+        lasso_floor, lasso_at = max(lassos) - lasso_margin, (0, 0, 1, lassos)
 
     k = len(symbols)
     bound_children = node_bound.children
@@ -402,14 +421,18 @@ def seminorm_interval(
         neg_u, d, idx, states, row, partial = heappop(heap)
         if -neg_u < upper:
             upper = -neg_u
-        if upper - lower <= eps:
+        if upper - lower <= eps or upper - lasso_floor <= eps:
             break
         gpow = gpows[d]
         if d + 1 == len(gpows):
             gpows.append(gpow * gamma)
         children = stack @ states[row]
-        bvals, rems = bound_children(children)
+        bvals, rems, lassos = bound_children(children)
         child_d, base = d + 1, idx * k
+        if lassos is not None:
+            top = partial + gpow * max(lassos) - lasso_margin
+            if top > lasso_floor:
+                lasso_floor, lasso_at = top, (child_d, base, k, lassos)
         for i in range(k):
             child_p = partial + gpow * bvals[i]
             if child_p > lower:
@@ -423,6 +446,15 @@ def seminorm_interval(
         # still on the frontier but not in the heap, and its bound is the largest.
         if heap:
             upper = min(upper, -heap[0][0])
+    witness = _decode_word(*best, symbols)
+    if lasso_at is not None:
+        depth, first, rows, lassos = lasso_at
+        c, i = divmod(lassos.index(max(lassos)), rows)
+        word = _decode_word(depth, first + i, symbols)
+        word += (symbols[c],) * max(node_bound.lasso_length - depth, 0)
+        value = discounted_sum(with_initial(a, v), word, gamma)
+        if value > lower:
+            lower, witness = value, word
     upper = max(upper, lower)
     return CertifiedInterval(
         lower=lower,
@@ -430,7 +462,7 @@ def seminorm_interval(
         gamma=gamma,
         depth_explored=len(gpows) - 1,
         nodes_expanded=nodes_expanded,
-        witness_prefix=_decode_word(*best, symbols),
+        witness_prefix=witness,
         converged=(upper - lower) <= eps,
     )
 

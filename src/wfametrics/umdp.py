@@ -21,35 +21,61 @@ bounds the value still to come from a distribution ``u`` by
 ``R(u) <= max_a u . alpha_a - u . beta``: by induction on the horizon, one
 backup of the best value from ``u K_a`` is at most ``u . alpha_a``.  This is
 the fast informed bound of Hauskrecht (JAIR 2000) with a single observation.
-The alpha-set comes from value iteration started at the constant
-``max(beta) / (1 - gamma)``; the iteration decreases monotonically and every
-iterate satisfies the inequality in exact arithmetic.  After it stops, every
-``alpha_a`` is lifted by the measured floating-point violation divided by
-``1 - gamma`` (the kernels are row-stochastic, so a constant lift ``c``
-gains ``(1 - gamma) c`` of slack) plus a rounding margin, and the
-inequality is checked again in floating point.  If that check fails (only
-seen at ``1 - gamma < 3e-13``) the search raises ``CannotCertifyError``: the
-generic bound cannot help there, as the transposed kernels have joint
-spectral radius 1 and its certificate needs ``gamma < 1 - 1e-12``.
+
+The alpha-set is the fixed point of the inequality read as an equation.
+That is the value of an MDP whose states are the pairs ``(a, s)`` and whose
+action at ``(a, s)`` is the ``b`` of the max, so policy iteration reaches it
+in a few linear solves of ``k * n`` unknowns, where value iteration would
+need ``O(1 / (1 - gamma))`` backups.  It starts from ``b = a`` (each
+``alpha_a`` is then the value of repeating ``a`` forever) and changes a
+choice only where the gain beats a rounding slack, so rounding noise cannot
+make it cycle.  After it stops, every ``alpha_a`` is lifted by the measured
+floating-point violation divided by ``1 - gamma`` (the kernels are
+row-stochastic, so a constant lift ``c`` gains ``(1 - gamma) c`` of slack)
+plus a rounding margin, and the inequality is checked again in floating
+point.  If that check fails (only seen at ``1 - gamma < 3e-13``) the search
+raises ``CannotCertifyError``: the generic bound cannot help there, as the
+transposed kernels have joint spectral radius 1 and its certificate needs
+``gamma < 1 - 1e-12``.
+
+Lasso lower bound
+-----------------
+Every infinite action sequence has a value at most the sup, so besides the
+finite prefixes the search scores lassos: a prefix, then one action ``c``
+forever.  From a distribution ``u`` that lasso is worth ``u . v_c`` with
+``v_c = (I - gamma K_c)^-1 beta``, and the node bound returns these values
+with its other products (see "Node bound" in :mod:`wfametrics.metric`).
+The closed form is rounded, so it only ranks lassos and closes the gap test
+less a margin.  At exit the best lasso is written out as the prefix followed
+by ``c`` up to ``L`` actions in all, with ``L`` the smallest length at which
+``gamma^(L+1) max(beta) / (1 - gamma)``, the most the dropped tail can be
+worth, is at most ``eps / 100``.  That word's forward-summed truncated value
+becomes ``lower`` when it beats the best prefix, and the word becomes
+``witness_prefix``, so the witness can be much longer than
+``depth_explored``.  ``L`` grows like ``1 / (1 - gamma)``; when it exceeds
+``_LASSO_LENGTH_CAP`` the search scores prefixes only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .core import (
-    Wfa, as_word, check_document, float_array, json_text, load_json, matrix_map,
-    prefix_states, symbol_list,
+    Wfa, as_word, check_document, discounted_sum, float_array, json_text, load_json,
+    matrix_map, symbol_list,
 )
 from .metric import DEFAULT_BUDGET, DEFAULT_EPS, CannotCertifyError, CertifiedInterval
 from .metric import seminorm_interval
 
 _STOCHASTIC_TOL = 1e-12
-# value iteration for the alpha-set stops at its floating-point fixed point or here
-_ALPHA_ITERATIONS = 3000
+# policy iteration for the alpha-set stops when no choice gains beyond rounding, or here
+_POLICY_ITERATIONS = 100
+# longest written-out lasso; beyond it (gamma near 1) the search scores prefixes only
+_LASSO_LENGTH_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -124,12 +150,7 @@ def umdp_value_truncated(u: Umdp, x: Iterable[str], horizon: int) -> float:
     for act in word:
         if act not in u.trans:
             raise ValueError(f"unknown action {act!r}; actions are {list(u.actions)}")
-    total = 0.0
-    gpow = 1.0
-    for dist in prefix_states(umdp_to_wfa(u), word[: horizon - 1]):
-        total += gpow * float(dist @ u.beta)
-        gpow *= u.gamma
-    return total
+    return discounted_sum(umdp_to_wfa(u), word[: horizon - 1], u.gamma)
 
 
 def umdp_to_wfa(u: Umdp) -> Wfa:
@@ -152,12 +173,23 @@ def umdp_sup_value_interval(
 ) -> CertifiedInterval:
     """Certified bracket for the sup over action sequences of the value of ``u``.
 
-    The search uses the alpha-vector node bound of the module docstring.
-    Raises ``ValueError`` when ``max(beta) / (1 - gamma)`` overflows, and
+    The search uses the alpha-vector node bound and the lasso lower bound of
+    the module docstring.  Raises ``ValueError`` when ``max(beta) / (1 - gamma)``
+    overflows or ``eps`` is not positive, and
     :class:`~wfametrics.metric.CannotCertifyError` when the alpha-set fails its check.
     """
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     a = umdp_to_wfa(u)
     bound = _AlphaVectorBound(_alpha_vectors(u), u.beta)
+    top = float(np.max(u.beta)) / (1.0 - u.gamma)
+    if top > 0:  # with zero rewards every lasso is worth 0
+        # the smallest L with gamma^(L+1) * top <= eps / 100
+        steps = (math.log(eps) - math.log(100.0) - math.log(top)) / math.log(u.gamma)
+        length = max(0, math.ceil(max(steps, 0.0)) - 1)
+        if length <= _LASSO_LENGTH_CAP:
+            margin = eps / 100 + (length + 2 / (1 - u.gamma)) * _rounding_slack(u.num_states, top)
+            bound.add_lassos(_stationary_values(u), length, margin)
     return seminorm_interval(a, a.alpha, u.gamma, eps, budget, node_bound=bound)
 
 
@@ -181,21 +213,50 @@ def _is_supersolution(kernels, beta, gamma, alphas) -> bool:
     return bool(np.all(alphas >= _backup(kernels, beta, gamma, alphas) + slack))
 
 
+def _solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``mat^-1 rhs`` for ``mat = I - gamma P`` with ``P`` row-stochastic."""
+    try:
+        return np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError:
+        raise CannotCertifyError("I - gamma P is singular in floating point; try a smaller gamma") from None
+
+
+def _stationary_values(u: Umdp) -> np.ndarray:
+    """Row ``c`` is ``(I - gamma K_c)^-1 beta``, the value of repeating action ``c`` forever."""
+    eye = np.eye(u.num_states)
+    return np.array([_solve(eye - u.gamma * u.trans[act], u.beta) for act in u.actions])
+
+
 def _alpha_vectors(u: Umdp) -> np.ndarray:
-    """Alpha-set rows (one per action) that pass :func:`_is_supersolution`, or an error."""
+    """Alpha-set rows (one per action) that pass :func:`_is_supersolution`, or an error.
+
+    Policy iteration on the ``(a, s)`` pairs; see the module docstring.
+    """
     kernels = np.concatenate([u.trans[act] for act in u.actions])
+    k, n = len(u.actions), u.num_states
     top = float(np.max(u.beta)) / (1.0 - u.gamma)
     if not np.isfinite(top):
         raise ValueError(f"the value bound max(beta) / (1 - gamma) = {top} overflows")
-    alphas = np.full((len(u.actions), u.num_states), top)
-    for _ in range(_ALPHA_ITERATIONS):
-        new = _backup(kernels, u.beta, u.gamma, alphas)
-        if not (new < alphas).any():
+    pairs = np.arange(k * n)
+    rewards = np.tile(u.beta, k)
+    policy = np.repeat(np.arange(k), n)  # b = a, whose value is the stationary one
+    alphas = _stationary_values(u)
+    slack = _rounding_slack(n, top)
+    for _ in range(_POLICY_ITERATIONS):
+        gains = kernels @ alphas.T  # gains[(a, s), b] = K_a[s] . alpha_b
+        choice = gains.argmax(axis=1)
+        better = gains[pairs, choice] > gains[pairs, policy] + slack
+        if not better.any():
             break
-        alphas = new
+        policy = np.where(better, choice, policy)
+        # row (a, s) of the system is K_a[s] placed in the block of its choice b
+        system = np.zeros((k * n, k * n))
+        system[pairs[:, None], policy[:, None] * n + np.arange(n)] = -u.gamma * kernels
+        system[pairs, pairs] += 1.0
+        alphas = _solve(system, rewards).reshape(k, n)
     violation = max(0.0, float(np.max(_backup(kernels, u.beta, u.gamma, alphas) - alphas)))
     # the lift leaves (1 - gamma) * lift - violation = margin of slack; zero rewards give zero
-    margin = 2.0 * _rounding_slack(u.num_states, top)
+    margin = 2.0 * _rounding_slack(n, top)
     alphas = alphas + (violation + margin) / (1.0 - u.gamma)
     if not _is_supersolution(kernels, u.beta, u.gamma, alphas):
         raise CannotCertifyError(
@@ -206,20 +267,33 @@ def _alpha_vectors(u: Umdp) -> np.ndarray:
 
 
 class _AlphaVectorBound:
-    """Node bound ``R(u) <= max_a u . alpha_a - u . beta`` on distributions ``u``.
+    """Node bound ``R(u) <= max_a u . (alpha_a - beta)`` on distributions ``u``, with lassos.
 
-    Both numbers come from one product with ``[beta | alpha^T]``; the states
-    and rewards are non-negative, so ``u . beta`` is already ``|beta . u|``.
-    The k rows are reduced as Python lists, which is faster than numpy
-    reductions on arrays this small.
+    All numbers come from one product of ``[beta; alphas - beta; lassos]``
+    (one row each) with the transposed states, read as one flat list: the
+    ``m`` partial values ``u . beta`` come first, then the ``k`` alpha rows,
+    then the lasso values in one slice, ``c * m + i`` for lasso ``c`` of row
+    ``i``.  The states and rewards are non-negative, so ``u . beta`` is
+    already ``|beta . u|``.  The short rows are reduced as Python lists,
+    which is faster than numpy reductions on arrays this small.
     """
 
     def __init__(self, alphas: np.ndarray, beta: np.ndarray):
-        self.weights = np.column_stack([beta, alphas.T])
+        self.weights_t = np.vstack([beta, alphas - beta])
+        self.k = len(alphas)
+        self.lassos = False
 
-    def children(self, states: np.ndarray) -> tuple[list[float], list[float]]:
-        rows = states.dot(self.weights).tolist()
-        return [row[0] for row in rows], [max(row[1:]) - row[0] for row in rows]
+    def add_lassos(self, values: np.ndarray, length: int, margin: float) -> None:
+        """Also return the lasso values ``u . values[c]``; see "Node bound" in :mod:`wfametrics.metric`."""
+        self.weights_t = np.vstack([self.weights_t, values])
+        self.lassos = True
+        self.lasso_length, self.lasso_margin = length, margin
+
+    def children(self, states: np.ndarray) -> tuple[list[float], list[float], list[float] | None]:
+        m = len(states)
+        flat = self.weights_t.dot(states.T).ravel().tolist()
+        end = (self.k + 1) * m
+        return flat[:m], [max(flat[i:end:m]) for i in range(m, 2 * m)], flat[end:] if self.lassos else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,21 @@ class TestBasicCommands:
         _, a1 = growth_files
         assert main(["eval", a1, "--word", "aa"]) == 0
         assert capsys.readouterr().out.strip() == "2.25"
+
+    @pytest.mark.parametrize("command", ["eval", "hankel"])
+    def test_overflowing_value_is_one_error_line(self, tmp_path, capsys, command):
+        path = tmp_path / "big.json"
+        save_wfa(Wfa(alphabet=("a",), alpha=[1.0], beta=[1.0], trans={"a": [[1e200]]}), str(path))
+        words = tmp_path / "words.txt"
+        words.write_text("\na\naa\n")
+        args = {"eval": ["--word", "aaa"], "hankel": ["--prefixes", str(words), "--suffixes", str(words)]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(path), *args[command]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and "overflows floating point" in captured.err
 
     def test_reverse_round_trips(self, growth_files, tmp_path, capsys):
         _, a1 = growth_files
@@ -415,6 +431,20 @@ class TestUmdpCommands:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ") and "overflows" in captured.err
+
+    def test_sup_witness_replays_to_the_printed_lower(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        u = Umdp(actions=("a", "b", "c"), alpha=[0.2, 0.3, 0.5], beta=rng.random(3),
+                 trans={act: random_stochastic(rng, 3) for act in "abc"}, gamma=0.9)
+        path = tmp_path / "u.json"
+        save_umdp(u, str(path))
+        assert main(["umdp", "sup", str(path), "--budget", "300"]) in (0, 3)
+        fields = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+        witness = fields["witness"]
+        assert len(witness) > int(fields["depth_explored"])  # a lasso set the lower bound
+        horizon = str(len(witness) + 1)
+        assert main(["umdp", "value", str(path), "--actions", witness + "a", "--horizon", horizon]) == 0
+        assert capsys.readouterr().out.strip() == fields["lower"]
 
     def test_sup_failed_alpha_check_exit_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(umdp_mod, "_is_supersolution", lambda *args: False)

@@ -273,7 +273,7 @@ class TestSeminormInterval:
         class Counting:
             def children(self, states):
                 calls.append(len(states))
-                return [0.0] * len(states), [np.inf] * len(states)
+                return [0.0] * len(states), [np.inf] * len(states), None
 
         with pytest.raises(ValueError, match="overflows"):
             seminorm_interval(a, a.alpha, 0.9)

@@ -1,3 +1,4 @@
+import heapq
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from wfametrics import (
     CannotCertifyError,
+    CertifiedInterval,
     Umdp,
     admissible_gamma_bound,
     seminorm_interval,
@@ -245,6 +247,9 @@ class TestAlphaVectorBound:
             word = iv.witness_prefix
             value = umdp_value_truncated(u, word + (u.actions[0],), len(word) + 1)
             assert value == pytest.approx(iv.lower, rel=1e-12, abs=0.0)
+            assert iv.converged == (iv.upper - iv.lower <= 1e-6)
+            for act in u.actions:  # no stationary sequence beats the lasso lower bound
+                assert iv.lower >= umdp_value_truncated(u, (act,) * 400, 400) - 1e-6 / 100
             a = umdp_to_wfa(u)
             try:
                 generic = seminorm_interval(a, a.alpha, u.gamma, budget=50)
@@ -296,12 +301,108 @@ class TestAlphaVectorBound:
         with pytest.raises(CannotCertifyError, match="alpha-vector bound"):
             umdp_sup_value_interval(u)
 
+    def test_alpha_set_is_the_fixed_point(self):
+        # policy iteration lands on the fixed point that value iteration approaches
+        rng = np.random.default_rng(62)
+        for case in range(20):
+            u = sweep_umdp(rng, case)
+            kernels = np.concatenate([u.trans[act] for act in u.actions])
+            alphas = np.full((len(u.actions), u.num_states), np.max(u.beta) / (1 - u.gamma))
+            for _ in range(2000):
+                alphas = umdp_mod._backup(kernels, u.beta, u.gamma, alphas)
+            top = float(np.max(u.beta)) / (1.0 - u.gamma)
+            assert np.allclose(umdp_mod._alpha_vectors(u), alphas, rtol=0, atol=1e-9 * top)
+
+    @pytest.mark.parametrize("gamma", [0.999, 1.0 - 1e-9])
+    def test_discount_near_one_gets_a_tight_alpha_set(self, gamma):
+        # value iteration from max(beta) / (1 - gamma) barely moves at these discounts
+        u = random_umdp(np.random.default_rng(5), n=20, actions=("a", "b", "c"), gamma=gamma)
+        iv = umdp_sup_value_interval(u, budget=50)
+        top = float(np.max(u.beta)) / (1.0 - gamma)
+        assert iv.upper < 0.9 * top
+
     def test_tighter_than_generic_bound_at_equal_budget(self, rng):
         u = random_umdp(rng, n=4, actions=("a", "b", "c"), gamma=0.8)
         a = umdp_to_wfa(u)
         ours = umdp_sup_value_interval(u, budget=2000)
         generic = seminorm_interval(a, a.alpha, u.gamma, budget=2000)
         assert ours.width < generic.width
+
+
+def prefix_search(a, gamma, bound, eps, budget):
+    """The sup search with tuple words and prefix lower bounds only: the loop before lassos."""
+    stack = a.trans_stack()
+    bvals, rems, _ = bound.children(a.alpha[None])
+    lower = bvals[0]
+    upper = lower + rems[0]
+    witness, depth_explored, nodes_expanded = (), 0, 0
+    heap = [(-upper, 0, (), gamma, a.alpha, lower)]
+    while heap and nodes_expanded < budget:
+        neg_u, d, word, gpow, state, partial = heapq.heappop(heap)
+        upper = min(upper, -neg_u)
+        if upper - lower <= eps:
+            break
+        children = stack @ state
+        bvals, rems, _ = bound.children(children)
+        for i, sym in enumerate(a.alphabet):
+            child_p = partial + gpow * bvals[i]
+            if child_p > lower:
+                lower, witness = child_p, word + (sym,)
+            heapq.heappush(heap, (-(child_p + gpow * rems[i]), d + 1, word + (sym,),
+                                  gpow * gamma, children[i], child_p))
+        nodes_expanded += 1
+        depth_explored = max(depth_explored, d + 1)
+    else:
+        if heap:
+            upper = min(upper, -heap[0][0])
+    upper = max(upper, lower)
+    return CertifiedInterval(lower, upper, gamma, depth_explored, nodes_expanded, witness,
+                             converged=(upper - lower) <= eps)
+
+
+class TestLassoLowerBound:
+    DEMO = Umdp(actions=("jump", "stay"), alpha=[1.0, 0.0], beta=[0.0, 2.0],
+                trans={"stay": np.array([[0.9, 0.1], [0.2, 0.8]]),
+                       "jump": np.array([[0.1, 0.9], [0.0, 1.0]])}, gamma=0.8)
+
+    def test_bound_without_lassos_gives_the_prefix_search(self):
+        rng = np.random.default_rng(63)
+        for case in range(30):
+            u = sweep_umdp(rng, case)
+            a = umdp_to_wfa(u)
+            bound = umdp_mod._AlphaVectorBound(umdp_mod._alpha_vectors(u), u.beta)
+            for eps, budget in ((1e-6, 300), (1e-12, 7)):
+                got = seminorm_interval(a, a.alpha, u.gamma, eps, budget, node_bound=bound)
+                assert got == prefix_search(a, u.gamma, bound, eps, budget)
+
+    def test_lasso_closes_the_gap_at_the_root(self):
+        # "jump" forever is optimal: value 2 * 0.9 * 0.8 / (0.2 * 0.92) = 180 / 23
+        iv = umdp_sup_value_interval(self.DEMO, eps=1e-4)
+        assert iv.converged and iv.nodes_expanded == 0 and iv.depth_explored == 0
+        assert set(iv.witness_prefix) == {"jump"}
+        assert 180 / 23 - 1e-4 / 100 <= iv.lower <= 180 / 23 <= iv.upper
+        # the written-out word is as short as its tail bound allows
+        length = len(iv.witness_prefix)
+        assert 0.8 ** (length + 1) * 10 <= 1e-6 < 0.8**length * 10
+
+    def test_converged_is_judged_on_the_written_out_lower(self):
+        # lasso values inflated by 1 close the gap test at once; the word cannot back them
+        a = umdp_to_wfa(self.DEMO)
+        bound = umdp_mod._AlphaVectorBound(umdp_mod._alpha_vectors(self.DEMO), self.DEMO.beta)
+        bound.add_lassos(umdp_mod._stationary_values(self.DEMO) + 1.0, 10, 1e-6)
+        iv = seminorm_interval(a, a.alpha, 0.8, 1e-4, node_bound=bound)
+        assert iv.nodes_expanded == 0 and not iv.converged
+        assert iv.lower == umdp_value_truncated(self.DEMO, iv.witness_prefix + ("jump",), 11)
+
+    @pytest.mark.parametrize("gamma", [0.999, 1.0 - 1e-9])
+    def test_lasso_length_cap_falls_back_to_prefixes(self, gamma, monkeypatch):
+        u = random_umdp(np.random.default_rng(6), n=4, actions=("a", "b"), gamma=gamma)
+        iv = umdp_sup_value_interval(u, budget=200)
+        assert len(iv.witness_prefix) <= iv.depth_explored
+        monkeypatch.setattr(umdp_mod, "_LASSO_LENGTH_CAP", 10**12)
+        if gamma == 0.999:  # a lasso of about 20,000 actions once the cap allows it
+            long = umdp_sup_value_interval(u, budget=200)
+            assert len(long.witness_prefix) > 4096 and long.lower >= iv.lower
 
 
 def _all_fixed_words(actions, length):
