@@ -16,7 +16,7 @@ from . import learn as learn_mod
 from . import metric, umdp as umdp_mod
 from .bisim import largest_bisimulation, minimize
 from .core import (
-    all_words, difference, evaluate, float_array, format_word, json_text, load_json, load_wfa,
+    all_words, checked_array, difference, evaluate, format_word, json_text, load_json, load_wfa,
     reverse, wfa_to_dict,
 )
 from .jsr import DEFAULT_NODE_BUDGET, wfa_irreducible, wfa_spectral_radius
@@ -158,7 +158,7 @@ def cmd_distance(args) -> int:
 
 def cmd_seminorm(args) -> int:
     a = load_wfa(args.wfa)
-    vec = load_json(args.vector, lambda doc: float_array(doc, "vector"))
+    vec = load_json(args.vector, lambda doc: checked_array(doc, "vector", (a.dim,)))
     iv = metric.seminorm_interval(a, vec, args.gamma, args.eps, args.budget)
     sys.stdout.write(_interval_report(iv))
     return _interval_exit(iv)

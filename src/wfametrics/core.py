@@ -46,10 +46,35 @@ def format_word(word: Sequence[str]) -> str:
     return " ".join(word)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
+def checked_array(value, name: str, shape: tuple[int | None, ...]) -> np.ndarray:
+    """``value`` as a read-only float copy of ``shape`` with finite entries.
+
+    A ``None`` in ``shape`` allows any length on that axis.  Every failure is
+    a ``ValueError`` that names ``name``.
+    """
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{name} must hold numbers: {err}") from None
+    if arr.shape != shape and (
+        arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape))
+    ):
+        expected = str(shape).replace("None", "any")
+        raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite entries")
+    arr.setflags(write=False)
+    return arr
+
+
+def checked_symbols(symbols: Iterable[str], name: str) -> tuple[str, ...]:
+    """``symbols`` in sorted order; a ``ValueError`` names ``name`` if it is empty or repeats a symbol."""
+    symbols = tuple(symbols)
+    if len(symbols) == 0:
+        raise ValueError(f"{name} must be non-empty")
+    if len(set(symbols)) != len(symbols):
+        raise ValueError(f"{name} has duplicate symbols: {symbols}")
+    return tuple(sorted(symbols))
 
 
 @dataclass(frozen=True)
@@ -68,34 +93,17 @@ class Wfa:
     dim: int = field(init=False)
 
     def __post_init__(self):
-        symbols = tuple(self.alphabet)
-        if len(symbols) == 0:
-            raise ValueError("alphabet must be non-empty")
-        if len(set(symbols)) != len(symbols):
-            raise ValueError(f"alphabet has duplicate symbols: {symbols}")
-        symbols = tuple(sorted(symbols))
-        alpha = _freeze(self.alpha)
-        beta = _freeze(self.beta)
-        if alpha.ndim != 1 or beta.ndim != 1:
-            raise ValueError("alpha and beta must be vectors")
-        for name, vec in (("alpha", alpha), ("beta", beta)):
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"{name} has non-finite entries")
+        symbols = checked_symbols(self.alphabet, "alphabet")
+        alpha = checked_array(self.alpha, "alpha", (None,))
         n = alpha.shape[0]
-        if beta.shape[0] != n:
-            raise ValueError(f"alpha has length {n} but beta has length {beta.shape[0]}")
+        beta = checked_array(self.beta, "beta", (n,))
         if set(self.trans) != set(symbols):
             raise ValueError(
                 f"trans keys {sorted(self.trans)} do not match alphabet {sorted(symbols)}"
             )
-        trans = {}
-        for sym in symbols:
-            mat = _freeze(self.trans[sym])
-            if mat.shape != (n, n):
-                raise ValueError(f"transition for {sym!r} has shape {mat.shape}, expected ({n}, {n})")
-            if not np.all(np.isfinite(mat)):
-                raise ValueError(f"transition for {sym!r} has non-finite entries")
-            trans[sym] = mat
+        trans = {
+            sym: checked_array(self.trans[sym], f"transition for {sym!r}", (n, n)) for sym in symbols
+        }
         object.__setattr__(self, "alphabet", symbols)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
@@ -166,17 +174,13 @@ def reverse(a: Wfa) -> Wfa:
 
 def with_initial(a: Wfa, v: np.ndarray) -> Wfa:
     """Copy of ``a`` with the initial vector replaced by ``v``."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (a.dim,):
-        raise ValueError(f"initial vector has shape {v.shape}, expected ({a.dim},)")
+    v = checked_array(v, "initial vector", (a.dim,))
     return Wfa(alphabet=a.alphabet, alpha=v, beta=a.beta, trans=dict(a.trans))
 
 
 def with_final(a: Wfa, w: np.ndarray) -> Wfa:
     """Copy of ``a`` with the final covector replaced by ``w``."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (a.dim,):
-        raise ValueError(f"final vector has shape {w.shape}, expected ({a.dim},)")
+    w = checked_array(w, "final vector", (a.dim,))
     return Wfa(alphabet=a.alphabet, alpha=a.alpha, beta=w, trans=dict(a.trans))
 
 
@@ -225,21 +229,31 @@ def json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def save_json(doc, path: str) -> None:
+    """Write ``doc`` to ``path`` as :func:`json_text`."""
+    with open(path, "w") as fh:
+        fh.write(json_text(doc))
+
+
 def check_document(doc, kind: str, fields: Sequence[str]) -> None:
-    """Raise ``ValueError`` unless ``doc`` is a JSON object holding every field in ``fields``."""
+    """Raise ``ValueError`` unless ``doc`` is a JSON object with exactly the fields in ``fields``."""
     if not isinstance(doc, Mapping):
         raise ValueError(f"{kind} document must be a JSON object, got {type(doc).__name__}")
     for key in fields:
         if key not in doc:
             raise ValueError(f"{kind} document missing field {key!r}")
+    for key in doc:
+        if key not in fields:
+            raise ValueError(f"{kind} document has unknown field {key!r}")
 
 
-def float_array(value, name: str) -> np.ndarray:
-    """``value`` as a float array; a ``ValueError`` names ``name`` if it is not numeric."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"{name} must hold numbers: {err}") from None
+def check_size(doc: Mapping, key: str) -> None:
+    """Raise ``ValueError`` unless field ``key`` of ``doc`` is an integer, the length of the list ``alpha``."""
+    n = doc[key]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"field {key!r} must be an integer, got {n!r}")
+    if not isinstance(doc["alpha"], list) or len(doc["alpha"]) != n:
+        raise ValueError(f"field 'alpha' must be a list of {key!r} = {n} numbers")
 
 
 def symbol_list(doc: Mapping, key: str) -> tuple[str, ...]:
@@ -250,12 +264,16 @@ def symbol_list(doc: Mapping, key: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def matrix_map(doc: Mapping, key: str) -> dict[str, np.ndarray]:
-    """Field ``key`` of ``doc``, an object mapping symbols to matrices, as float arrays."""
+def matrix_map(doc: Mapping, key: str) -> dict:
+    """Field ``key`` of ``doc``, which must be an object mapping symbols to matrices.
+
+    JSON writes a 0-by-0 matrix as ``[]``, which is read as one.
+    """
     value = doc[key]
     if not isinstance(value, Mapping):
         raise ValueError(f"field {key!r} must be an object mapping symbols to matrices")
-    return {sym: float_array(rows, f"{key}[{sym!r}]") for sym, rows in value.items()}
+    return {sym: np.zeros((0, 0)) if isinstance(rows, list) and not rows else rows
+            for sym, rows in value.items()}
 
 
 def wfa_to_dict(a: Wfa) -> dict:
@@ -270,23 +288,9 @@ def wfa_to_dict(a: Wfa) -> dict:
 
 def wfa_from_dict(doc: Mapping) -> Wfa:
     check_document(doc, "WFA", ("alphabet", "dim", "alpha", "beta", "trans"))
-    alphabet = symbol_list(doc, "alphabet")
-    n = doc["dim"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"field 'dim' must be a non-negative integer, got {n!r}")
-    alpha = float_array(doc["alpha"], "field 'alpha'")
-    beta = float_array(doc["beta"], "field 'beta'")
-    if alpha.shape != (n,):
-        raise ValueError(f"field 'alpha' has length {alpha.shape}, expected ({n},)")
-    if beta.shape != (n,):
-        raise ValueError(f"field 'beta' has length {beta.shape}, expected ({n},)")
-    trans = matrix_map(doc, "trans")
-    for sym, mat in trans.items():
-        if n == 0 and mat.shape == (0,):
-            trans[sym] = mat = mat.reshape(0, 0)  # how JSON writes a 0-by-0 matrix
-        if mat.shape != (n, n):
-            raise ValueError(f"trans[{sym!r}] has shape {mat.shape}, expected ({n}, {n})")
-    return Wfa(alphabet=alphabet, alpha=alpha, beta=beta, trans=trans)
+    check_size(doc, "dim")
+    return Wfa(alphabet=symbol_list(doc, "alphabet"), alpha=doc["alpha"], beta=doc["beta"],
+               trans=matrix_map(doc, "trans"))
 
 
 def load_wfa(path: str) -> Wfa:
@@ -294,5 +298,4 @@ def load_wfa(path: str) -> Wfa:
 
 
 def save_wfa(a: Wfa, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(json_text(wfa_to_dict(a)))
+    save_json(wfa_to_dict(a), path)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bisim import minimize
 from .core import (
-    Wfa, Word, as_word, check_document, float_array, load_json, matrix_map,
+    Wfa, Word, as_word, check_document, checked_array, checked_symbols, load_json, matrix_map,
     prefix_states, reverse, symbol_list,
 )
 from .linalg import DEFAULT_TOL, numerical_rank, sign_flips, spectral_norm
@@ -46,35 +46,21 @@ class HankelBlock:
     hs: np.ndarray
 
     def __post_init__(self):
+        alphabet = checked_symbols(self.alphabet, "alphabet")
         prefixes = tuple(as_word(p) for p in self.prefixes)
         suffixes = tuple(as_word(s) for s in self.suffixes)
         if () not in prefixes or () not in suffixes:
             raise ValueError("prefix and suffix sets must both contain the empty word")
+        for word in prefixes + suffixes:
+            if not all(sym in alphabet for sym in word):
+                raise ValueError(f"index word {list(word)} has a symbol outside the alphabet {alphabet}")
         np_, ns = len(prefixes), len(suffixes)
-        h = np.array(self.h, dtype=float)
-        if h.shape != (np_, ns):
-            raise ValueError(f"H has shape {h.shape}, expected ({np_}, {ns})")
-        alphabet = tuple(sorted(self.alphabet))
         if set(self.hsig) != set(alphabet):
             raise ValueError("shifted blocks must cover exactly the alphabet")
-        hsig = {}
-        for sym in alphabet:
-            mat = np.array(self.hsig[sym], dtype=float)
-            if mat.shape != (np_, ns):
-                raise ValueError(f"shifted block for {sym!r} has shape {mat.shape}")
-            mat.setflags(write=False)
-            hsig[sym] = mat
-        hp = np.array(self.hp, dtype=float)
-        hs = np.array(self.hs, dtype=float)
-        if hp.shape != (np_,) or hs.shape != (ns,):
-            raise ValueError("boundary vectors must match the index set sizes")
-        fields = [("H", h), ("hP", hp), ("hS", hs)] + [(f"Hsig[{s!r}]", m) for s, m in hsig.items()]
-        for name, arr in fields:
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} has non-finite entries")
-        h.setflags(write=False)
-        hp.setflags(write=False)
-        hs.setflags(write=False)
+        h = checked_array(self.h, "H", (np_, ns))
+        hsig = {sym: checked_array(self.hsig[sym], f"Hsig[{sym!r}]", (np_, ns)) for sym in alphabet}
+        hp = checked_array(self.hp, "hP", (np_,))
+        hs = checked_array(self.hs, "hS", (ns,))
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "prefixes", prefixes)
         object.__setattr__(self, "suffixes", suffixes)
@@ -276,10 +262,10 @@ def block_from_dict(doc: Mapping) -> HankelBlock:
         alphabet=symbol_list(doc, "alphabet"),
         prefixes=_words(doc, "prefixes"),
         suffixes=_words(doc, "suffixes"),
-        h=float_array(doc["H"], "field 'H'"),
+        h=doc["H"],
         hsig=matrix_map(doc, "Hsig"),
-        hp=float_array(doc["hP"], "field 'hP'"),
-        hs=float_array(doc["hS"], "field 'hS'"),
+        hp=doc["hP"],
+        hs=doc["hS"],
     )
 
 

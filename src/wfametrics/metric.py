@@ -91,7 +91,7 @@ from typing import Protocol
 import numpy as np
 
 from .bisim import Subspace, largest_bisimulation
-from .core import Wfa, difference, discounted_sum, with_initial
+from .core import Wfa, checked_array, difference, discounted_sum, with_initial
 from .jsr import _decode_word, extend_products, wfa_spectral_radius
 from .linalg import max_spectral_norm, spectral_norm
 
@@ -115,16 +115,6 @@ def _checked_scales(scales) -> list[float]:
         if not 0.0 <= scale < math.inf:
             raise ValueError(f"perturbation scales must be finite and non-negative, got {scale}")
     return scales
-
-
-def _checked_vector(a: Wfa, v) -> np.ndarray:
-    """``v`` as a float vector; it must be finite and of length ``a.dim``."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (a.dim,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({a.dim},)")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite entries")
-    return v
 
 
 class CannotCertifyError(Exception):
@@ -216,10 +206,11 @@ def balance_scaling(mats) -> np.ndarray:
 
 
 def _candidate_scalings(mats) -> list[np.ndarray]:
-    """Working-norm scalings to try: the identity, then balancing unless it is the identity."""
+    """Working-norm scalings to try: the identity, then balancing unless it is the identity or not finite."""
     eye = np.eye(mats[0].shape[0])
-    balanced = balance_scaling(mats)
-    return [eye] if np.allclose(balanced, eye) else [eye, balanced]
+    with np.errstate(over="ignore", invalid="ignore"):  # squares of entries above ~1e154 overflow
+        balanced = balance_scaling(mats)
+    return [eye] if not np.isfinite(balanced).all() or np.allclose(balanced, eye) else [eye, balanced]
 
 
 def _conjugate(s_mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -232,10 +223,10 @@ def _certificates(stack: np.ndarray, depth: int, product_cap: int):
 
     For each of :func:`_candidate_scalings`, yields the ``TailBoundParams`` of
     block lengths ``1..depth``, stopping before a level of more than
-    ``product_cap`` products.  Cost: O(k n^3) per scaling for the change of
-    basis, plus k^m n-by-n products and their norms at each level m; each
-    level is formed once, by extending the one before it, and the level-1
-    maximum norm is ``K``.  Over a 0-dimensional space the one candidate is
+    ``product_cap`` products and at the first level that overflows.  Cost:
+    O(k n^3) per scaling for the change of basis, plus k^m n-by-n products and
+    their norms at each level m; each level is formed once, by extending the
+    one before it, and the level-1 maximum norm is ``K``.  Over a 0-dimensional space the one candidate is
     ``theta = 0``.
     """
     n, k = stack.shape[1], stack.shape[0]
@@ -248,7 +239,10 @@ def _certificates(stack: np.ndarray, depth: int, product_cap: int):
         for m in range(1, depth + 1):
             if k**m > product_cap:
                 break
-            prods = extend_products(scaled, prods)
+            with np.errstate(over="ignore"):
+                prods = extend_products(scaled, prods)
+            if not np.isfinite(prods).all():  # an overflowing level certifies nothing
+                break
             top = max_spectral_norm(prods)
             if m == 1:
                 step = top
@@ -288,7 +282,12 @@ def _discounted_chain_sum(gamma: float, params: TailBoundParams) -> float:
 
 
 class NodeBound(Protocol):
-    """A branch-and-bound node bound; see "Node bound" in the module docstring."""
+    """A branch-and-bound node bound; see "Node bound" in the module docstring.
+
+    A bound that returns lasso values also has ``lasso_length``, the number
+    of symbols a lasso is written out to, and ``lasso_margin``, which covers
+    the dropped tail and the rounding of its values.
+    """
 
     def children(self, states: np.ndarray) -> tuple[list[float], list[float], list[float] | None]:
         """``|beta . u|`` and the bound on ``R(u)`` for each row ``u`` of ``states``; lasso values or None."""
@@ -376,7 +375,7 @@ def seminorm_interval(
         raise ValueError(f"eps must be positive, got {eps}")
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    v = _checked_vector(a, v)
+    v = checked_array(v, "vector", (a.dim,))
     if node_bound is not None and params is not None:
         raise ValueError("params configures the generic node bound and is ignored with node_bound")
     if a.dim == 0:
@@ -548,7 +547,7 @@ def truncated_seminorm(a: Wfa, v: np.ndarray, gamma: float, depth: int) -> float
     operator to the zero seminorm.
     """
     _check_gamma(gamma)
-    v = _checked_vector(a, v)
+    v = checked_array(v, "vector", (a.dim,))
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if a.dim == 0:

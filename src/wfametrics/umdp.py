@@ -65,8 +65,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .core import (
-    Wfa, as_word, check_document, discounted_sum, float_array, json_text, load_json,
-    matrix_map, symbol_list,
+    Wfa, as_word, check_document, check_size, checked_array, checked_symbols, discounted_sum,
+    load_json, matrix_map, save_json, symbol_list,
 )
 from .metric import DEFAULT_BUDGET, DEFAULT_EPS, CannotCertifyError, CertifiedInterval
 from .metric import seminorm_interval
@@ -90,17 +90,10 @@ class Umdp:
     num_states: int = field(init=False)
 
     def __post_init__(self):
-        actions = tuple(sorted(self.actions))
-        if len(actions) == 0 or len(set(actions)) != len(actions):
-            raise ValueError("actions must be non-empty and free of duplicates")
-        alpha = np.array(self.alpha, dtype=float)
-        beta = np.array(self.beta, dtype=float)
+        actions = checked_symbols(self.actions, "actions")
+        alpha = checked_array(self.alpha, "alpha", (None,))
         n = alpha.shape[0]
-        if alpha.ndim != 1 or beta.shape != (n,):
-            raise ValueError("alpha and beta must be vectors of equal length")
-        for name, vec in (("alpha", alpha), ("beta (rewards)", beta)):
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"{name} has non-finite entries")
+        beta = checked_array(self.beta, "beta (rewards)", (n,))
         if np.any(alpha < -_STOCHASTIC_TOL) or abs(alpha.sum() - 1.0) > _STOCHASTIC_TOL:
             raise ValueError("alpha must be a probability distribution (within 1e-12)")
         if np.any(beta < 0):
@@ -111,11 +104,7 @@ class Umdp:
             raise ValueError("trans keys must match the action set")
         trans = {}
         for act in actions:
-            mat = np.array(self.trans[act], dtype=float)
-            if mat.shape != (n, n):
-                raise ValueError(f"kernel for {act!r} has shape {mat.shape}, expected ({n}, {n})")
-            if not np.all(np.isfinite(mat)):
-                raise ValueError(f"kernel for {act!r} has non-finite entries")
+            mat = checked_array(self.trans[act], f"kernel for {act!r}", (n, n))
             if np.any(mat < -_STOCHASTIC_TOL) or np.any(mat > 1.0 + _STOCHASTIC_TOL):
                 raise ValueError(f"kernel for {act!r} has entries outside [0, 1]")
             rows = mat.sum(axis=1)
@@ -128,7 +117,6 @@ class Umdp:
         alpha = np.clip(alpha, 0.0, None)
         alpha = alpha / alpha.sum()
         alpha.setflags(write=False)
-        beta.setflags(write=False)
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
@@ -180,16 +168,20 @@ def umdp_sup_value_interval(
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    a = umdp_to_wfa(u)
-    bound = _AlphaVectorBound(_alpha_vectors(u), u.beta)
     top = float(np.max(u.beta)) / (1.0 - u.gamma)
+    if not np.isfinite(top):
+        raise ValueError(f"the value bound max(beta) / (1 - gamma) = {top} overflows")
+    stationary = _stationary_values(u)
+    lassos = ()  # no lasso rows
     if top > 0:  # with zero rewards every lasso is worth 0
         # the smallest L with gamma^(L+1) * top <= eps / 100
         steps = (math.log(eps) - math.log(100.0) - math.log(top)) / math.log(u.gamma)
         length = max(0, math.ceil(max(steps, 0.0)) - 1)
         if length <= _LASSO_LENGTH_CAP:
             margin = eps / 100 + (length + 2 / (1 - u.gamma)) * _rounding_slack(u.num_states, top)
-            bound.add_lassos(_stationary_values(u), length, margin)
+            lassos = (stationary, length, margin)
+    a = umdp_to_wfa(u)
+    bound = _AlphaVectorBound(_alpha_vectors(u, stationary, top), u.beta, *lassos)
     return seminorm_interval(a, a.alpha, u.gamma, eps, budget, node_bound=bound)
 
 
@@ -227,20 +219,17 @@ def _stationary_values(u: Umdp) -> np.ndarray:
     return np.array([_solve(eye - u.gamma * u.trans[act], u.beta) for act in u.actions])
 
 
-def _alpha_vectors(u: Umdp) -> np.ndarray:
+def _alpha_vectors(u: Umdp, alphas: np.ndarray, top: float) -> np.ndarray:
     """Alpha-set rows (one per action) that pass :func:`_is_supersolution`, or an error.
 
-    Policy iteration on the ``(a, s)`` pairs; see the module docstring.
+    Policy iteration on the ``(a, s)`` pairs, from the :func:`_stationary_values`
+    ``alphas``; ``top`` is ``max(beta) / (1 - gamma)``.  See the module docstring.
     """
     kernels = np.concatenate([u.trans[act] for act in u.actions])
     k, n = len(u.actions), u.num_states
-    top = float(np.max(u.beta)) / (1.0 - u.gamma)
-    if not np.isfinite(top):
-        raise ValueError(f"the value bound max(beta) / (1 - gamma) = {top} overflows")
     pairs = np.arange(k * n)
     rewards = np.tile(u.beta, k)
     policy = np.repeat(np.arange(k), n)  # b = a, whose value is the stationary one
-    alphas = _stationary_values(u)
     slack = _rounding_slack(n, top)
     for _ in range(_POLICY_ITERATIONS):
         gains = kernels @ alphas.T  # gains[(a, s), b] = K_a[s] . alpha_b
@@ -275,25 +264,21 @@ class _AlphaVectorBound:
     then the lasso values in one slice, ``c * m + i`` for lasso ``c`` of row
     ``i``.  The states and rewards are non-negative, so ``u . beta`` is
     already ``|beta . u|``.  The short rows are reduced as Python lists,
-    which is faster than numpy reductions on arrays this small.
+    which is faster than numpy reductions on arrays this small.  Without
+    ``lassos`` (the rows ``v_c``) the third item is ``None``.
     """
 
-    def __init__(self, alphas: np.ndarray, beta: np.ndarray):
-        self.weights_t = np.vstack([beta, alphas - beta])
+    def __init__(self, alphas: np.ndarray, beta: np.ndarray, lassos: np.ndarray | None = None,
+                 lasso_length: int = 0, lasso_margin: float = 0.0):
+        self.weights_t = np.vstack([beta, alphas - beta] + ([] if lassos is None else [lassos]))
         self.k = len(alphas)
-        self.lassos = False
-
-    def add_lassos(self, values: np.ndarray, length: int, margin: float) -> None:
-        """Also return the lasso values ``u . values[c]``; see "Node bound" in :mod:`wfametrics.metric`."""
-        self.weights_t = np.vstack([self.weights_t, values])
-        self.lassos = True
-        self.lasso_length, self.lasso_margin = length, margin
+        self.lasso_length, self.lasso_margin = lasso_length, lasso_margin
 
     def children(self, states: np.ndarray) -> tuple[list[float], list[float], list[float] | None]:
         m = len(states)
         flat = self.weights_t.dot(states.T).ravel().tolist()
         end = (self.k + 1) * m
-        return flat[:m], [max(flat[i:end:m]) for i in range(m, 2 * m)], flat[end:] if self.lassos else None
+        return flat[:m], [max(flat[i:end:m]) for i in range(m, 2 * m)], flat[end:] or None
 
 
 # ---------------------------------------------------------------------------
@@ -313,23 +298,12 @@ def umdp_to_dict(u: Umdp) -> dict:
 
 def umdp_from_dict(doc: Mapping) -> Umdp:
     check_document(doc, "UMDP", ("actions", "states", "alpha", "beta", "trans", "gamma"))
-    n = doc["states"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"field 'states' must be an integer, got {n!r}")
-    alpha = float_array(doc["alpha"], "field 'alpha'")
-    beta = float_array(doc["beta"], "field 'beta'")
-    if alpha.shape != (n,) or beta.shape != (n,):
-        raise ValueError("fields 'alpha'/'beta' must have length 'states'")
-    gamma = float_array(doc["gamma"], "field 'gamma'")
-    if gamma.shape != ():
-        raise ValueError("field 'gamma' must be a number")
-    return Umdp(
-        actions=symbol_list(doc, "actions"),
-        alpha=alpha,
-        beta=beta,
-        trans=matrix_map(doc, "trans"),
-        gamma=float(gamma),
-    )
+    check_size(doc, "states")
+    gamma = doc["gamma"]
+    if isinstance(gamma, bool) or not isinstance(gamma, (int, float)):
+        raise ValueError(f"field 'gamma' must be a number, got {gamma!r}")
+    return Umdp(actions=symbol_list(doc, "actions"), alpha=doc["alpha"], beta=doc["beta"],
+                trans=matrix_map(doc, "trans"), gamma=float(gamma))
 
 
 def load_umdp(path: str) -> Umdp:
@@ -337,5 +311,4 @@ def load_umdp(path: str) -> Umdp:
 
 
 def save_umdp(u: Umdp, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(json_text(umdp_to_dict(u)))
+    save_json(umdp_to_dict(u), path)

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ import pytest
 from wfametrics import Wfa, hankel_from_wfa, load_wfa, save_wfa, wfa_from_dict, wfa_to_dict
 from wfametrics.cli import main, tokenize_word
 from wfametrics.learn import block_to_dict
-from wfametrics import umdp as umdp_mod
+from wfametrics import core, learn, umdp as umdp_mod
 from wfametrics.umdp import Umdp, save_umdp, umdp_to_dict
 from conftest import duplicated_copy, random_stochastic, random_wfa
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 
 @pytest.fixture
@@ -57,6 +60,28 @@ class TestBasicCommands:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ") and "overflows floating point" in captured.err
+
+    @pytest.mark.parametrize("command", ["bound", "distance", "seminorm", "continuity"])
+    def test_overflowing_automaton_cannot_certify(self, tmp_path, capsys, command):
+        # its second product level overflows; that level once certified theta = 0
+        path = tmp_path / "big.json"
+        save_wfa(Wfa(alphabet=("a",), alpha=[1.0], beta=[1.0], trans={"a": [[1e200]]}), str(path))
+        vector = tmp_path / "v.json"
+        vector.write_text("[1.0]")
+        argv = {"bound": ["bound", str(path), str(path)],
+                "distance": ["distance", str(path), str(path)],
+                "seminorm": ["seminorm", str(path), "--vector", str(vector)],
+                "continuity": ["experiment", "continuity", str(path), "--scales", "0", "0.1"]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--gamma", "0.5"])
+        captured = capsys.readouterr()
+        if command == "continuity":  # an uncertifiable pair is a NaN row
+            assert code == 0 and captured.err == ""
+            assert captured.out.splitlines()[2:] == ["0,nan,nan,nan", "0.1,nan,nan,nan"]
+        else:
+            assert code == 2 and captured.out == ""
+            assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
     def test_reverse_round_trips(self, growth_files, tmp_path, capsys):
         _, a1 = growth_files
@@ -297,6 +322,13 @@ MALFORMED = {
     "block-hsig-inf": ("block", lambda d: {**d, "Hsig": {"a": [[1.0, float("inf")], [1.0, 1.0]]}}),
     "block-hp-nan": ("block", lambda d: {**d, "hP": [float("nan"), 1.0]}),
     "block-hs-inf": ("block", lambda d: {**d, "hS": [1.0, float("-inf")]}),
+    "block-alphabet-duplicate": ("block", lambda d: {**d, "alphabet": ["a", "a"]}),
+    "block-alphabet-empty": ("block", lambda d: {**d, "alphabet": [], "Hsig": {}}),
+    "block-prefix-unknown-symbol": ("block", lambda d: {**d, "prefixes": [[], ["z"]]}),
+    "block-suffix-unknown-symbol": ("block", lambda d: {**d, "suffixes": [[], ["z"]]}),
+    "wfa-unknown-field": ("wfa", lambda d: {**d, "Trans": d["trans"]}),
+    "umdp-unknown-field": ("umdp", lambda d: {**d, "discount": 0.5}),
+    "block-unknown-field": ("block", lambda d: {**d, "rank": 1}),
     "vector-object": ("vector", lambda d: {"x": 1.0}),
 }
 
@@ -322,6 +354,20 @@ class TestMalformedDocuments:
         assert captured.err.startswith(f"error: {path}: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("kind, schema", [("wfa", "wfa"), ("umdp", "umdp"), ("block", "hankel")])
+    def test_schema_matches_reader_and_writer(self, kind, schema, monkeypatch):
+        module, reader = {"wfa": (core, core.wfa_from_dict), "umdp": (umdp_mod, umdp_mod.umdp_from_dict),
+                          "block": (learn, learn.block_from_dict)}[kind]
+        passed = []
+        check = module.check_document
+        monkeypatch.setattr(module, "check_document",
+                            lambda doc, name, fields: passed.append(tuple(fields)) or check(doc, name, fields))
+        doc = _valid_documents()[kind]
+        reader(doc)
+        spec = json.loads((DOCS / f"{schema}.schema.json").read_text())
+        assert tuple(spec["required"]) == tuple(spec["properties"]) == passed[0] == tuple(doc)
+        assert spec["additionalProperties"] is False
 
     def test_valid_documents_are_accepted(self, tmp_path, capsys):
         docs = _valid_documents()

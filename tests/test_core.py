@@ -198,6 +198,11 @@ class TestValidationAndJson:
         with pytest.raises(ValueError, match="alpha"):
             wfa_from_dict({"alphabet": ["a"], "dim": 1, "beta": [1.0], "trans": {"a": [[1.0]]}})
 
+    def test_json_unknown_field(self, rng):
+        doc = wfa_to_dict(random_wfa(rng))
+        with pytest.raises(ValueError, match="^WFA document has unknown field 'Trans'$"):
+            wfa_from_dict({**doc, "Trans": doc["trans"]})
+
     def test_json_bad_shape(self):
         with pytest.raises(ValueError, match="trans"):
             wfa_from_dict(

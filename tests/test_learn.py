@@ -13,7 +13,7 @@ from wfametrics import (
     perturbation_experiment,
     spectral_learn,
 )
-from wfametrics.learn import block_from_dict, block_to_dict, consistency_residual
+from wfametrics.learn import HankelBlock, block_from_dict, block_to_dict, consistency_residual
 from conftest import all_words, random_wfa
 
 
@@ -228,6 +228,20 @@ class TestBlockJson:
             doc[field][1] = bad
         with pytest.raises(ValueError, match=f"{re.escape(name)} has non-finite entries"):
             block_from_dict(doc)
+
+    @pytest.mark.parametrize("alphabet, prefixes, suffixes, message", [
+        (("a", "a"), [(), ("a",)], [(), ("a",)], "duplicate symbols"),
+        ((), [()], [()], "must be non-empty"),
+        (("a",), [(), ("z",)], [(), ("a",)], r"\['z'\] has a symbol outside the alphabet"),
+        (("a",), [(), ("a",)], [(), ("a", "z")], r"\['a', 'z'\] has a symbol outside the alphabet"),
+    ])
+    def test_alphabet_rules(self, alphabet, prefixes, suffixes, message):
+        # each once passed the constructor; a bad alphabet failed later, inside spectral_learn
+        size = (len(prefixes), len(suffixes))
+        with pytest.raises(ValueError, match=message):
+            HankelBlock(alphabet=alphabet, prefixes=prefixes, suffixes=suffixes, h=np.ones(size),
+                        hsig={s: np.ones(size) for s in alphabet}, hp=np.ones(size[0]),
+                        hs=np.ones(size[1]))
 
     def test_missing_field(self):
         with pytest.raises(ValueError, match="Hsig"):

@@ -1,4 +1,5 @@
 import heapq
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,14 @@ class TestTailParams:
         assert params.step_norm == step_norm
         assert np.array_equal(params.scaling, scaling)
         assert (block_len, not np.array_equal(scaling, np.eye(a.dim))) == expected
+
+    def test_overflowing_level_does_not_certify(self):
+        # level 2 holds 1e400 = inf; its norm once read as theta = 0 and certified
+        a = Wfa(alphabet=("a",), alpha=[1.0, 1.0], beta=[1.0, 1.0], trans={"a": np.diag([0.5, 1e200])})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CannotCertifyError):
+                compute_tail_params(a, 0.5)
 
     def test_single_step_identity_accepted(self, rng):
         a = random_wfa(rng, norm_cap=0.8)

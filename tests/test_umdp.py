@@ -29,6 +29,12 @@ def random_umdp(rng, n=3, actions=("a", "b"), gamma=0.9):
     )
 
 
+def alpha_set(u):
+    """The alpha-set that ``umdp_sup_value_interval`` builds for ``u``."""
+    top = float(np.max(u.beta)) / (1.0 - u.gamma)
+    return umdp_mod._alpha_vectors(u, umdp_mod._stationary_values(u), top)
+
+
 def simulate_value(u, word, horizon):
     """Independent forward simulation of the distribution recursion."""
     dist = np.array(u.alpha)
@@ -267,7 +273,7 @@ class TestAlphaVectorBound:
             if zero_rewards:
                 u = Umdp(actions=u.actions, alpha=u.alpha, beta=np.zeros(u.num_states),
                          trans=u.trans, gamma=u.gamma)
-            alphas = umdp_mod._alpha_vectors(u)
+            alphas = alpha_set(u)
             for i, act in enumerate(u.actions):
                 backup = np.max([u.trans[act] @ alphas[j] for j in range(len(u.actions))], axis=0)
                 assert np.all(alphas[i] >= u.beta + u.gamma * backup)
@@ -281,7 +287,7 @@ class TestAlphaVectorBound:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no inf * 0 in the iteration
             with pytest.raises(ValueError, match="overflows"):
-                umdp_mod._alpha_vectors(self.OVERFLOWING)
+                umdp_sup_value_interval(self.OVERFLOWING)
 
     def test_overflowing_value_rejected_before_the_search(self):
         # the search once spent its whole budget on an infinite root bound
@@ -311,7 +317,7 @@ class TestAlphaVectorBound:
             for _ in range(2000):
                 alphas = umdp_mod._backup(kernels, u.beta, u.gamma, alphas)
             top = float(np.max(u.beta)) / (1.0 - u.gamma)
-            assert np.allclose(umdp_mod._alpha_vectors(u), alphas, rtol=0, atol=1e-9 * top)
+            assert np.allclose(alpha_set(u), alphas, rtol=0, atol=1e-9 * top)
 
     @pytest.mark.parametrize("gamma", [0.999, 1.0 - 1e-9])
     def test_discount_near_one_gets_a_tight_alpha_set(self, gamma):
@@ -370,7 +376,7 @@ class TestLassoLowerBound:
         for case in range(30):
             u = sweep_umdp(rng, case)
             a = umdp_to_wfa(u)
-            bound = umdp_mod._AlphaVectorBound(umdp_mod._alpha_vectors(u), u.beta)
+            bound = umdp_mod._AlphaVectorBound(alpha_set(u), u.beta)
             for eps, budget in ((1e-6, 300), (1e-12, 7)):
                 got = seminorm_interval(a, a.alpha, u.gamma, eps, budget, node_bound=bound)
                 assert got == prefix_search(a, u.gamma, bound, eps, budget)
@@ -388,8 +394,8 @@ class TestLassoLowerBound:
     def test_converged_is_judged_on_the_written_out_lower(self):
         # lasso values inflated by 1 close the gap test at once; the word cannot back them
         a = umdp_to_wfa(self.DEMO)
-        bound = umdp_mod._AlphaVectorBound(umdp_mod._alpha_vectors(self.DEMO), self.DEMO.beta)
-        bound.add_lassos(umdp_mod._stationary_values(self.DEMO) + 1.0, 10, 1e-6)
+        bound = umdp_mod._AlphaVectorBound(alpha_set(self.DEMO), self.DEMO.beta,
+                                           umdp_mod._stationary_values(self.DEMO) + 1.0, 10, 1e-6)
         iv = seminorm_interval(a, a.alpha, 0.8, 1e-4, node_bound=bound)
         assert iv.nodes_expanded == 0 and not iv.converged
         assert iv.lower == umdp_value_truncated(self.DEMO, iv.witness_prefix + ("jump",), 11)
