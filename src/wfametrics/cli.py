@@ -79,20 +79,21 @@ def _write(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _interval_report(interval: metric.CertifiedInterval) -> str:
-    lines = [
-        f"lower {fmt(interval.lower)}",
-        f"upper {fmt(interval.upper)}",
-        f"witness {format_word(interval.witness_prefix)}",
-        f"nodes_expanded {interval.nodes_expanded}",
-        f"depth_explored {interval.depth_explored}",
-        f"converged {str(interval.converged).lower()}",
-    ]
-    return "\n".join(lines) + "\n"
+def _report(iv: metric.CertifiedInterval) -> int:
+    """Print a certified interval; exit code 0 when it converged, 3 on a budget exit."""
+    sys.stdout.write(
+        f"lower {fmt(iv.lower)}\nupper {fmt(iv.upper)}\nwitness {format_word(iv.witness_prefix)}\n"
+        f"nodes_expanded {iv.nodes_expanded}\ndepth_explored {iv.depth_explored}\n"
+        f"converged {str(iv.converged).lower()}\n"
+    )
+    return EXIT_OK if iv.converged else EXIT_BUDGET
 
 
-def _interval_exit(interval: metric.CertifiedInterval) -> int:
-    return EXIT_OK if interval.converged else EXIT_BUDGET
+def _write_csv(seed: int, header: str, rows, output: str | None) -> None:
+    """An experiment's CSV: the ``# seed=`` line, the header, then one line per row."""
+    lines = [f"# seed={seed}", header]
+    lines += [",".join(x if isinstance(x, str) else fmt(x) for x in row) for row in rows]
+    _write("\n".join(lines) + "\n", output)
 
 
 # ---------------------------------------------------------------------------
@@ -149,19 +150,14 @@ def cmd_irreducible(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    iv = metric.distance(
-        load_wfa(args.wfa1), load_wfa(args.wfa2), args.gamma, args.eps, args.budget
-    )
-    sys.stdout.write(_interval_report(iv))
-    return _interval_exit(iv)
+    a1, a2 = load_wfa(args.wfa1), load_wfa(args.wfa2)
+    return _report(metric.distance(a1, a2, args.gamma, args.eps, args.budget))
 
 
 def cmd_seminorm(args) -> int:
     a = load_wfa(args.wfa)
     vec = load_json(args.vector, lambda doc: checked_array(doc, "vector", (a.dim,)))
-    iv = metric.seminorm_interval(a, vec, args.gamma, args.eps, args.budget)
-    sys.stdout.write(_interval_report(iv))
-    return _interval_exit(iv)
+    return _report(metric.seminorm_interval(a, vec, args.gamma, args.eps, args.budget))
 
 
 def cmd_bound(args) -> int:
@@ -191,22 +187,9 @@ def cmd_experiment_learn(args) -> int:
     basis_len = args.basis_len if args.basis_len is not None else max(1, minimize(a).dim)
     words = all_words(a.alphabet, basis_len)
     rows = learn_mod.perturbation_experiment(
-        a,
-        words,
-        words,
-        args.scales,
-        args.gamma,
-        args.eps,
-        args.trials,
-        seed=args.seed,
-        budget=args.budget,
+        a, words, words, args.scales, args.gamma, args.eps, args.trials, seed=args.seed, budget=args.budget
     )
-    lines = [f"# seed={args.seed}", "scale,hankel_err,d_lower,d_upper,ratio,status"]
-    for scale, herr, lo, hi, ratio, status in rows:
-        lines.append(
-            ",".join([fmt(scale), fmt(herr), fmt(lo), fmt(hi), fmt(ratio), status])
-        )
-    _write("\n".join(lines) + "\n", args.output)
+    _write_csv(args.seed, "scale,hankel_err,d_lower,d_upper,ratio,status", rows, args.output)
     return EXIT_OK
 
 
@@ -215,10 +198,7 @@ def cmd_experiment_continuity(args) -> int:
     rows = metric.parameter_continuity_experiment(
         a, args.scales, args.gamma, args.eps, seed=args.seed, budget=args.budget
     )
-    lines = [f"# seed={args.seed}", "scale,lower,upper,lemma_bound"]
-    for scale, lo, hi, bound in rows:
-        lines.append(",".join([fmt(scale), fmt(lo), fmt(hi), fmt(bound)]))
-    _write("\n".join(lines) + "\n", args.output)
+    _write_csv(args.seed, "scale,lower,upper,lemma_bound", rows, args.output)
     return EXIT_OK
 
 
@@ -231,14 +211,21 @@ def cmd_umdp_value(args) -> int:
 
 def cmd_umdp_sup(args) -> int:
     u = umdp_mod.load_umdp(args.umdp)
-    iv = umdp_mod.umdp_sup_value_interval(u, args.eps, args.budget)
-    sys.stdout.write(_interval_report(iv))
-    return _interval_exit(iv)
+    return _report(umdp_mod.umdp_sup_value_interval(u, args.eps, args.budget))
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def _subcommand(subparsers, name: str, func, help: str, *positionals: str, parents=()):
+    """Add subcommand ``name`` running ``func``, with its positionals and shared options."""
+    p = subparsers.add_parser(name, help=help, parents=parents)
+    for positional in positionals:
+        p.add_argument(positional)
+    p.set_defaults(func=func)
+    return p
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -251,122 +238,59 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker threads; 1 (the default and only implemented mode) is bit-reproducible; "
         "any other value is an input error",
     )
+    # each option that several subcommands share is declared once, in a parent parser
+    gamma, search, output, tol, sweep = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    gamma.add_argument("--gamma", type=float, required=True)
+    search.add_argument("--eps", type=float, default=metric.DEFAULT_EPS)
+    search.add_argument("--budget", type=int, default=metric.DEFAULT_BUDGET)
+    output.add_argument("-o", "--output")
+    tol.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sweep.add_argument("--scales", type=float, nargs="+", required=True)
+    sweep.add_argument("--seed", type=int, default=0)
+
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a WFA on a word")
-    p.add_argument("wfa")
+    p = _subcommand(sub, "eval", cmd_eval, "evaluate a WFA on a word", "wfa")
     p.add_argument("--word", required=True, help="word; empty string for the empty word")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("reverse", help="reverse automaton")
-    p.add_argument("wfa")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_reverse)
-
-    p = sub.add_parser("diff", help="difference automaton")
-    p.add_argument("wfa1")
-    p.add_argument("wfa2")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_diff)
-
-    p = sub.add_parser("minimize", help="minimal equivalent automaton")
-    p.add_argument("wfa")
-    p.add_argument("-o", "--output")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.set_defaults(func=cmd_minimize)
-
-    p = sub.add_parser("bisim", help="largest linear bisimulation subspace")
-    p.add_argument("wfa")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.set_defaults(func=cmd_bisim)
-
-    p = sub.add_parser("jsr", help="joint spectral radius bracket")
-    p.add_argument("wfa")
+    _subcommand(sub, "reverse", cmd_reverse, "reverse automaton", "wfa", parents=[output])
+    _subcommand(sub, "diff", cmd_diff, "difference automaton", "wfa1", "wfa2", parents=[output])
+    _subcommand(sub, "minimize", cmd_minimize, "minimal equivalent automaton", "wfa",
+                parents=[output, tol])
+    _subcommand(sub, "bisim", cmd_bisim, "largest linear bisimulation subspace", "wfa", parents=[tol])
+    p = _subcommand(sub, "jsr", cmd_jsr, "joint spectral radius bracket", "wfa")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.set_defaults(func=cmd_jsr)
-
-    p = sub.add_parser("irreducible", help="transition family irreducibility")
-    p.add_argument("wfa")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.set_defaults(func=cmd_irreducible)
-
-    p = sub.add_parser("distance", help="certified bisimulation distance interval")
-    p.add_argument("wfa1")
-    p.add_argument("wfa2")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--eps", type=float, default=metric.DEFAULT_EPS)
-    p.add_argument("--budget", type=int, default=metric.DEFAULT_BUDGET)
-    p.set_defaults(func=cmd_distance)
-
-    p = sub.add_parser("seminorm", help="certified seminorm interval for a state vector")
-    p.add_argument("wfa")
+    _subcommand(sub, "irreducible", cmd_irreducible, "transition family irreducibility", "wfa",
+                parents=[tol])
+    _subcommand(sub, "distance", cmd_distance, "certified bisimulation distance interval",
+                "wfa1", "wfa2", parents=[gamma, search])
+    p = _subcommand(sub, "seminorm", cmd_seminorm, "certified seminorm interval for a state vector",
+                    "wfa", parents=[gamma, search])
     p.add_argument("--vector", required=True, help="JSON file holding the vector")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--eps", type=float, default=metric.DEFAULT_EPS)
-    p.add_argument("--budget", type=int, default=metric.DEFAULT_BUDGET)
-    p.set_defaults(func=cmd_seminorm)
-
-    p = sub.add_parser("bound", help="closed-form distance upper bound")
-    p.add_argument("wfa1")
-    p.add_argument("wfa2")
-    p.add_argument("--gamma", type=float, required=True)
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("hankel", help="exact Hankel block of a WFA")
-    p.add_argument("wfa")
+    _subcommand(sub, "bound", cmd_bound, "closed-form distance upper bound", "wfa1", "wfa2",
+                parents=[gamma])
+    p = _subcommand(sub, "hankel", cmd_hankel, "exact Hankel block of a WFA", "wfa", parents=[output])
     p.add_argument("--prefixes", required=True, help="file with one word per line")
     p.add_argument("--suffixes", required=True, help="file with one word per line")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_hankel)
-
-    p = sub.add_parser("learn", help="spectral learning from a Hankel block")
-    p.add_argument("block")
+    p = _subcommand(sub, "learn", cmd_learn, "spectral learning from a Hankel block", "block",
+                    parents=[tol, output])
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_learn)
 
-    p = sub.add_parser("experiment", help="experiment runners (CSV output)")
-    esub = p.add_subparsers(dest="experiment", required=True)
+    esub = sub.add_parser("experiment", help="experiment runners (CSV output)").add_subparsers(
+        dest="experiment", required=True)
+    p = _subcommand(esub, "learn", cmd_experiment_learn, "Hankel perturbation sweep", "wfa",
+                    parents=[gamma, sweep, search, output])
+    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--basis-len", type=int, default=None, help="max index word length")
+    _subcommand(esub, "continuity", cmd_experiment_continuity, "parameter perturbation sweep", "wfa",
+                parents=[gamma, sweep, search, output])
 
-    e = esub.add_parser("learn", help="Hankel perturbation sweep")
-    e.add_argument("wfa")
-    e.add_argument("--gamma", type=float, required=True)
-    e.add_argument("--scales", type=float, nargs="+", required=True)
-    e.add_argument("--eps", type=float, default=metric.DEFAULT_EPS)
-    e.add_argument("--trials", type=int, default=1)
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--budget", type=int, default=metric.DEFAULT_BUDGET)
-    e.add_argument("--basis-len", type=int, default=None, help="max index word length")
-    e.add_argument("-o", "--output")
-    e.set_defaults(func=cmd_experiment_learn)
-
-    e = esub.add_parser("continuity", help="parameter perturbation sweep")
-    e.add_argument("wfa")
-    e.add_argument("--gamma", type=float, required=True)
-    e.add_argument("--scales", type=float, nargs="+", required=True)
-    e.add_argument("--eps", type=float, default=metric.DEFAULT_EPS)
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--budget", type=int, default=metric.DEFAULT_BUDGET)
-    e.add_argument("-o", "--output")
-    e.set_defaults(func=cmd_experiment_continuity)
-
-    p = sub.add_parser("umdp", help="unobservable MDP values")
-    usub = p.add_subparsers(dest="umdp_command", required=True)
-
-    u = usub.add_parser("value", help="truncated value of an action string")
-    u.add_argument("umdp")
-    u.add_argument("--actions", required=True)
-    u.add_argument("--horizon", type=int, required=True)
-    u.set_defaults(func=cmd_umdp_value)
-
-    u = usub.add_parser("sup", help="certified bracket of the sup value")
-    u.add_argument("umdp")
-    u.add_argument("--eps", type=float, default=metric.DEFAULT_EPS)
-    u.add_argument("--budget", type=int, default=metric.DEFAULT_BUDGET)
-    u.set_defaults(func=cmd_umdp_sup)
-
+    usub = sub.add_parser("umdp", help="unobservable MDP values").add_subparsers(
+        dest="umdp_command", required=True)
+    p = _subcommand(usub, "value", cmd_umdp_value, "truncated value of an action string", "umdp")
+    p.add_argument("--actions", required=True)
+    p.add_argument("--horizon", type=int, required=True)
+    _subcommand(usub, "sup", cmd_umdp_sup, "certified bracket of the sup value", "umdp",
+                parents=[search])
     return parser
 
 

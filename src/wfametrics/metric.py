@@ -30,13 +30,15 @@ Node bound
 :func:`seminorm_interval` runs one search loop over any :class:`NodeBound`,
 whose one method ``children(states)`` returns, for each row ``u`` of
 ``states``, the partial value ``|beta . u|`` and a bound on ``R(u)`` (defined
-below), as two lists, and a third item: ``None``, or the lasso values.  It
-is called once per expanded node on the node's ``k`` children, and once on
-the root as the one-row ``v[None]``.  The default is the generic bound
-below, valid for every automaton, and it returns no lasso values;
-``node_bound=`` is the extension point for bounds that know more about the
-automaton (:mod:`wfametrics.umdp` passes an alpha-vector bound that uses
-the non-negativity of distributions and rewards).
+below), as two lists, and a third item: ``None``, or the lasso values.  The
+root is the one child of the empty word, with partial value 0 and weight
+``gamma^0 = 1``: the search calls ``children`` on the one-row ``v[None]``
+first, then once per expanded node on the node's ``k`` children.  The
+default is the generic bound below, valid for every automaton, and it
+returns no lasso values; ``node_bound=`` is the extension point for bounds
+that know more about the automaton (:mod:`wfametrics.umdp` passes an
+alpha-vector bound that uses the non-negativity of distributions and
+rewards).
 
 Lasso values are optional lower candidates.  Entry ``c * m + i`` (for ``m``
 rows) estimates the value, from row ``i`` on, of the lasso that repeats the
@@ -186,9 +188,12 @@ def balance_scaling(mats) -> np.ndarray:
     """Diagonal scaling roughly equalizing joint row and column norms.
 
     Heuristic only: any well-conditioned diagonal gives valid bounds, this one
-    just tends to shrink ``max_s |tau_s|_S``.  Deterministic.
+    just tends to shrink ``max_s |tau_s|_S``.  Deterministic.  The stack is
+    first divided by the power of two of its largest entry, which keeps the
+    squares finite and every ratio the iteration takes exact.
     """
     stack = np.stack([np.asarray(m, dtype=float) for m in mats])
+    stack = np.ldexp(stack, -np.frexp(np.max(np.abs(stack)))[1])
     n = stack.shape[1]
     d = np.ones(n)
     for _ in range(_BALANCE_ITERS):
@@ -206,11 +211,10 @@ def balance_scaling(mats) -> np.ndarray:
 
 
 def _candidate_scalings(mats) -> list[np.ndarray]:
-    """Working-norm scalings to try: the identity, then balancing unless it is the identity or not finite."""
+    """Working-norm scalings to try: the identity, then balancing unless it is the identity."""
     eye = np.eye(mats[0].shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):  # squares of entries above ~1e154 overflow
-        balanced = balance_scaling(mats)
-    return [eye] if not np.isfinite(balanced).all() or np.allclose(balanced, eye) else [eye, balanced]
+    balanced = balance_scaling(mats)
+    return [eye] if np.allclose(balanced, eye) else [eye, balanced]
 
 
 def _conjugate(s_mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -218,12 +222,13 @@ def _conjugate(s_mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return s_mat @ stack @ np.linalg.inv(s_mat)
 
 
-def _certificates(stack: np.ndarray, depth: int, product_cap: int):
+def _certificates(stack: np.ndarray, depth: int):
     """Candidate certificates of the matrices ``stack``, in the order they are tried.
 
     For each of :func:`_candidate_scalings`, yields the ``TailBoundParams`` of
-    block lengths ``1..depth``, stopping before a level of more than
-    ``product_cap`` products and at the first level that overflows.  Cost:
+    block lengths ``1..depth``.  Level 1 is the input matrices themselves and
+    is always formed; the walk stops before a level m >= 2 of more than
+    ``_PRODUCT_CAP`` products and at the first level that overflows.  Cost:
     O(k n^3) per scaling for the change of basis, plus k^m n-by-n products and
     their norms at each level m; each level is formed once, by extending the
     one before it, and the level-1 maximum norm is ``K``.  Over a 0-dimensional space the one candidate is
@@ -237,7 +242,7 @@ def _certificates(stack: np.ndarray, depth: int, product_cap: int):
         scaled = _conjugate(s_mat, stack)
         prods = np.eye(n)[None]
         for m in range(1, depth + 1):
-            if k**m > product_cap:
+            if m > 1 and k**m > _PRODUCT_CAP:
                 break
             with np.errstate(over="ignore"):
                 prods = extend_products(scaled, prods)
@@ -254,15 +259,15 @@ def compute_tail_params(a: Wfa, gamma: float, depth: int = 8) -> TailBoundParams
     """Search for a scaling and block length certifying ``gamma * theta < 1``.
 
     Tries the identity scaling first, then a diagonal balancing scaling, with
-    block lengths ``1..depth`` (capped so no more than 4096 length-m products
-    are formed), and returns the first that certifies.  Raises
+    block lengths ``1..depth`` (for m >= 2, capped so no more than 4096
+    length-m products are formed), and returns the first that certifies.  Raises
     :class:`CannotCertifyError` if nothing certifies; the discount may still
     be admissible at higher depth.
     """
     _check_gamma(gamma)
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    for params in _certificates(a.trans_stack(), depth, _PRODUCT_CAP):
+    for params in _certificates(a.trans_stack(), depth):
         if gamma * params.theta < 1.0 - _CERT_MARGIN:
             return params
     raise CannotCertifyError(
@@ -382,69 +387,60 @@ def seminorm_interval(
         return CertifiedInterval(0.0, 0.0, gamma, 0, 0, ())
     if node_bound is None and params is None:
         params = compute_tail_params(a, gamma)
-    # an overflow here gives an infinite root bound, which is rejected just below
-    with np.errstate(over="ignore"):
-        if node_bound is None:
-            node_bound = _BoundData(a, gamma, params, largest_bisimulation(a))
-        bvals, rems, lassos = node_bound.children(v[None])
-    stack = a.trans_stack()
-    symbols = a.alphabet
-
-    root_p = lower = bvals[0]
-    upper = root_p + rems[0]
-    if not math.isfinite(upper):
-        raise ValueError(f"the root node bound is {upper}: the value overflows floating point")
-    best = (0, 0)  # (length, word index) of the witness
-    nodes_expanded = 0
+    stack, symbols = a.trans_stack(), a.alphabet
+    k = len(symbols)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    # best is the (length, word index) of the witness
+    lower, best, upper, nodes_expanded = -math.inf, (0, 0), math.inf, 0
     # the best lasso less its margin (a floor for the gap test only), and where
     # it is: (depth and word index of the first row, rows, lasso values)
     lasso_floor, lasso_at = -math.inf, None
-    if lassos is not None:
-        lasso_margin = node_bound.lasso_margin
-        lasso_floor, lasso_at = max(lassos) - lasso_margin, (0, 0, 1, lassos)
-
-    k = len(symbols)
-    bound_children = node_bound.children
-    heappush, heappop = heapq.heappush, heapq.heappop
     # gpows[d] = gamma^(d+1) weighs the children of a depth-d node; it grows by
     # one entry at the first expansion at each depth.
     gpows = [gamma]
-
     # heap entries: (-node_upper, depth, word index, states, row, partial),
     # where a word s_1..s_d has index sum_j i(s_j) k^(d-j) with i the position
     # in the sorted alphabet, and the node's state is states[row]: a child
     # keeps its parent's array of children, so a row view is made only for
-    # the nodes that are expanded, not for every node pushed
-    heap = [(-upper, 0, 0, v[None], 0, root_p)]
-    while heap and nodes_expanded < budget:
-        neg_u, d, idx, states, row, partial = heappop(heap)
-        if -neg_u < upper:
-            upper = -neg_u
-        if upper - lower <= eps or upper - lasso_floor <= eps:
-            break
-        gpow = gpows[d]
-        if d + 1 == len(gpows):
-            gpows.append(gpow * gamma)
-        children = stack @ states[row]
-        bvals, rems, lassos = bound_children(children)
-        child_d, base = d + 1, idx * k
-        if lassos is not None:
-            top = partial + gpow * max(lassos) - lasso_margin
-            if top > lasso_floor:
-                lasso_floor, lasso_at = top, (child_d, base, k, lassos)
-        for i in range(k):
-            child_p = partial + gpow * bvals[i]
-            if child_p > lower:
-                lower = child_p
-                best = (child_d, base + i)
-            heappush(heap, (-(child_p + gpow * rems[i]), child_d, base + i, children, i, child_p))
-        nodes_expanded += 1
-    else:
-        # Budget or frontier exhausted: every popped node was expanded, so the
-        # heap is the whole frontier.  After the break above the popped node is
-        # still on the frontier but not in the heap, and its bound is the largest.
-        if heap:
-            upper = min(upper, -heap[0][0])
+    # the nodes that are expanded, not for every node pushed.  The root is
+    # the one child of the empty word, whose children are v[None], with
+    # partial value 0.0 and weight gamma^0 = 1.0.  The pop is the loop's one
+    # exit: the popped bound is the largest on the frontier, so on the gap
+    # exit and the budget exit alike upper is the least popped bound.  Only
+    # the root's bound can leave upper infinite (an overflow), and it is
+    # rejected at the first pop, before any expansion.
+    heap = []
+    children, child_d, base, partial, gpow = v[None], 0, 0, 0.0, 1.0
+    with np.errstate(over="ignore"):
+        if node_bound is None:
+            node_bound = _BoundData(a, gamma, params, largest_bisimulation(a))
+        bound_children = node_bound.children
+        while True:
+            bvals, rems, lassos = bound_children(children)
+            rows = len(bvals)
+            if lassos is not None:
+                top = partial + gpow * max(lassos) - node_bound.lasso_margin
+                if top > lasso_floor:
+                    lasso_floor, lasso_at = top, (child_d, base, rows, lassos)
+            for i in range(rows):
+                child_p = partial + gpow * bvals[i]
+                if child_p > lower:
+                    lower = child_p
+                    best = (child_d, base + i)
+                heappush(heap, (-(child_p + gpow * rems[i]), child_d, base + i, children, i, child_p))
+            neg_u, d, idx, states, row, partial = heappop(heap)
+            if -neg_u < upper:
+                upper = -neg_u
+            if not math.isfinite(upper):
+                raise ValueError(f"the root node bound is {-neg_u}: the value overflows floating point")
+            if upper - lower <= eps or upper - lasso_floor <= eps or nodes_expanded == budget:
+                break
+            gpow = gpows[d]
+            if d + 1 == len(gpows):
+                gpows.append(gpow * gamma)
+            children = stack @ states[row]
+            child_d, base = d + 1, idx * k
+            nodes_expanded += 1
     witness = _decode_word(*best, symbols)
     if lasso_at is not None:
         depth, first, rows, lassos = lasso_at
@@ -520,7 +516,7 @@ def distance_upper_bound(a1: Wfa, a2: Wfa, gamma: float) -> float:
         return 0.0
     stack1, stack2 = a1.trans_stack(), a2.trans_stack()
     stack = np.concatenate([stack1, stack2])
-    candidates = _certificates(stack, 1, len(stack))
+    candidates = _certificates(stack, 1)
     certified = [p for p in candidates if gamma * p.theta < 1.0 - _CERT_MARGIN]
     if not certified:
         raise CannotCertifyError(

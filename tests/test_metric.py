@@ -149,6 +149,28 @@ class TestTailParams:
             with pytest.raises(CannotCertifyError):
                 compute_tail_params(a, 0.5)
 
+    def test_more_symbols_than_the_product_cap_certify_at_block_length_one(self):
+        # level 1 is the input matrices and is always formed; the cap bounds levels m >= 2
+        symbols = tuple(f"s{i}" for i in range(metric._PRODUCT_CAP + 1))
+        a = Wfa(alphabet=symbols, alpha=[1.0], beta=[1.0], trans={s: [[0.5]] for s in symbols})
+        params = compute_tail_params(a, 0.9)
+        assert (params.theta, params.block_len) == (0.5, 1)
+
+    def test_balance_scaling_of_huge_entries_is_finite(self):
+        # the squares of entries above ~1e154 overflow unless the stack is rescaled first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(balance_scaling([np.array([[1e200]])]), np.eye(1))
+
+    def test_balance_scaling_ignores_a_power_of_two(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            k, n = rng.integers(1, 4), rng.integers(1, 6)
+            stack = rng.standard_normal((k, n, n)) * 10.0 ** rng.uniform(-30, 30, (k, n, n))
+            expected = balance_scaling(stack)
+            for exponent in (600, -600):
+                assert np.array_equal(balance_scaling(np.ldexp(stack, exponent)), expected)
+
     def test_single_step_identity_accepted(self, rng):
         a = random_wfa(rng, norm_cap=0.8)
         params = compute_tail_params(a, gamma=1.0)
@@ -289,6 +311,10 @@ class TestSeminormInterval:
         with pytest.raises(ValueError, match="overflows"):
             seminorm_interval(a, a.alpha, 0.9, node_bound=Counting())
         assert calls == [1]
+        # with no budget the root is still bounded once and rejected
+        with pytest.raises(ValueError, match="overflows"):
+            seminorm_interval(a, a.alpha, 0.9, budget=0, node_bound=Counting())
+        assert calls == [1, 1]
 
 
 def tuple_word_seminorm_interval(a, v, gamma, eps, budget, projection=True):
