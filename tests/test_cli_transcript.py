@@ -2,10 +2,10 @@
 
 ``cli_transcript.json`` holds, for each command line below, its exit code,
 stdout and stderr.  The run covers all sixteen handlers, one budget exit, one
-discount that cannot be certified and one malformed file.  The searches run
-on one-state automata and everything else on diagonal or dyadic two-state
-automata, so every printed digit comes from exact arithmetic and not from a
-LAPACK rounding choice.  After an intended change of output, regenerate the
+discount that cannot be certified, one malformed file and three words with a
+symbol outside the alphabet.  The searches run on one-state automata and
+everything else on diagonal or dyadic two-state automata, so every printed
+digit comes from exact arithmetic and not from a LAPACK rounding choice.  After an intended change of output, regenerate the
 transcript with
 
     PYTHONPATH=src python tests/test_cli_transcript.py > tests/cli_transcript.json
@@ -50,7 +50,7 @@ FIXTURES = {
     "bad.json": {"alphabet": ["a"], "dim": 1, "alpha": [1.0], "beta": [1.0],
                  "trans": {"a": [[0.5]]}, "extra": 1},
 }
-TEXT_FIXTURES = {"words.txt": "\na\nab\n"}
+TEXT_FIXTURES = {"words.txt": "\na\nab\n", "bad_words.txt": "\na z\n"}
 
 COMMANDS = [
     "eval two_b.json --word abba",
@@ -74,6 +74,9 @@ COMMANDS = [
     "umdp sup u1.json --eps 1e-6",
     "distance grow.json one.json --gamma 0.9",
     "eval bad.json --word a",
+    "eval two_b.json --word 'a z'",
+    "umdp value u2.json --actions 'a z' --horizon 9",
+    "hankel two_b.json --prefixes bad_words.txt --suffixes words.txt",
 ]
 
 
