@@ -97,12 +97,10 @@ def reachable_subspace(a: Wfa, tol: float = DEFAULT_TOL) -> Subspace:
     basis = orth_basis(a.alpha.reshape(n, 1), tol)
     mats = [a.trans[s] for s in a.alphabet]
     while 0 < basis.shape[1] < n:
-        cols = [basis] + [m @ basis for m in mats]
-        new_basis = orth_basis(np.hstack(cols), tol)
-        if new_basis.shape[1] == basis.shape[1]:
-            basis = new_basis
+        rank = basis.shape[1]
+        basis = orth_basis(np.hstack([basis] + [m @ basis for m in mats]), tol)
+        if basis.shape[1] == rank:
             break
-        basis = new_basis
     return Subspace(basis, tol)
 
 

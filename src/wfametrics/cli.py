@@ -37,29 +37,25 @@ def tokenize_word(text: str, alphabet: tuple[str, ...]) -> tuple[str, ...]:
 
     The empty string is the empty word.  Without whitespace, symbols are
     matched greedily longest-first, which is unambiguous for the common case
-    of single-character alphabets.
+    of single-character alphabets.  Whitespace-separated symbols are checked
+    against the alphabet where the word is used, by ``Wfa.check_word``.
     """
     if text == "" or text == "ε":
         return ()
     if any(ch.isspace() for ch in text):
-        parts = tuple(text.split())
-    else:
-        parts = []
-        by_len = sorted(alphabet, key=len, reverse=True)
-        pos = 0
-        while pos < len(text):
-            for sym in by_len:
-                if text.startswith(sym, pos):
-                    parts.append(sym)
-                    pos += len(sym)
-                    break
-            else:
-                raise ValueError(f"cannot tokenize {text!r} at position {pos} over alphabet {list(alphabet)}")
-        parts = tuple(parts)
-    for sym in parts:
-        if sym not in alphabet:
-            raise ValueError(f"unknown symbol {sym!r}; alphabet is {list(alphabet)}")
-    return parts
+        return tuple(text.split())
+    parts = []
+    by_len = sorted(alphabet, key=len, reverse=True)
+    pos = 0
+    while pos < len(text):
+        for sym in by_len:
+            if text.startswith(sym, pos):
+                parts.append(sym)
+                pos += len(sym)
+                break
+        else:
+            raise ValueError(f"cannot tokenize {text!r} at position {pos} over alphabet {list(alphabet)}")
+    return tuple(parts)
 
 
 def read_words(path: str, alphabet: tuple[str, ...]) -> list[tuple[str, ...]]:

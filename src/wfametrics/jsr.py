@@ -39,7 +39,6 @@ from .linalg import (
     DEFAULT_TOL,
     frobenius_norms,
     max_spectral_norm,
-    spectral_norm,
     spectral_norms,
     spectral_radii,
 )
@@ -65,13 +64,18 @@ class JsrBounds:
 
 
 def _as_square_stack(mats) -> np.ndarray:
-    arr = np.stack([np.asarray(m, dtype=float) for m in mats])
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise ValueError("matrices must all be square and of equal size")
-    for i, mat in enumerate(arr):
+    """The family as one ``(k, n, n)`` stack.
+
+    A matrix that is not square, finite and of matrix 0's size raises
+    ``ValueError`` naming its position.
+    """
+    mats = [np.asarray(m, dtype=float) for m in mats]
+    for i, mat in enumerate(mats):
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape != mats[0].shape:
+            raise ValueError(f"matrix {i} has shape {mat.shape}; all must be square and of equal size")
         if not np.isfinite(mat).all():
             raise ValueError(f"matrix {i} has a non-finite entry")
-    return arr
+    return np.stack(mats)
 
 
 def extend_products(gens: np.ndarray, prods: np.ndarray) -> np.ndarray:
@@ -121,7 +125,6 @@ def jsr_bounds(
     witness: tuple[str, ...] = ()
     upper = np.inf
     truncated = False
-    level_complete = True
 
     # Each level is in lexicographic word order: the product for word x1..xt
     # is T[xt] @ ... @ T[x1], and row r of an extended level is the word of
@@ -148,7 +151,7 @@ def jsr_bounds(
         if solve.size:
             radii = spectral_radii(prods[solve])
             best = int(np.argmax(radii))
-            cand = radii[best] ** (1.0 / t) if radii[best] > 0 else 0.0
+            cand = radii[best] ** (1.0 / t)
             if cand > lower:
                 lower = float(cand)
                 witness = _decode_word(t, _word_index(kept, k, int(solve[best])), symbols)
@@ -156,19 +159,18 @@ def jsr_bounds(
         prune = len(prods) > node_budget and t < depth
         if prune:
             norms = spectral_norms(prods)
-        if level_complete:
+        if not truncated:
             for level_max in (
                 float(np.max(norms)) if prune else max_spectral_norm(prods),
                 float(np.max(row_caps)),
                 float(np.max(col_caps)),
             ):
-                upper = min(upper, level_max ** (1.0 / t) if level_max > 0 else 0.0)
+                upper = min(upper, level_max ** (1.0 / t))
 
         if prune:
             # rows are in word order, so a stable sort breaks ties by word
             keep = np.sort(np.argsort(-norms, kind="stable")[:node_budget])
             prods = prods[keep]
-            level_complete = False
             truncated = True
         kept.append(keep if prune else None)
 
@@ -200,9 +202,7 @@ def _decode_word(length: int, idx: int, symbols: tuple[str, ...]) -> tuple[str, 
 
 def wfa_spectral_radius(a: Wfa, depth: int, node_budget: int = DEFAULT_NODE_BUDGET) -> JsrBounds:
     """JSR bracket for the transition family of ``a``."""
-    return jsr_bounds(
-        [a.trans[s] for s in a.alphabet], depth, node_budget, symbols=a.alphabet
-    )
+    return jsr_bounds(a.trans_stack(), depth, node_budget, symbols=a.alphabet)
 
 
 def is_irreducible(mats, tol: float = DEFAULT_TOL) -> bool:
@@ -253,7 +253,7 @@ def is_irreducible(mats, tol: float = DEFAULT_TOL) -> bool:
 
 def wfa_irreducible(a: Wfa, tol: float = DEFAULT_TOL) -> bool:
     """Irreducibility of the transition family of ``a``."""
-    return is_irreducible([a.trans[s] for s in a.alphabet], tol)
+    return is_irreducible(a.trans_stack(), tol)
 
 
 def hausdorff_distance(m1, m2) -> float:
@@ -262,7 +262,7 @@ def hausdorff_distance(m1, m2) -> float:
     b = _as_square_stack(m2)
     if a.shape[1:] != b.shape[1:]:
         raise ValueError(f"matrix sizes differ: {a.shape[1:]} vs {b.shape[1:]}")
-    dist = np.array([[spectral_norm(x - y) for y in b] for x in a])
+    dist = spectral_norms(a[:, None] - b[None])
     forward = float(np.max(np.min(dist, axis=1)))
     backward = float(np.max(np.min(dist, axis=0)))
     return max(forward, backward)

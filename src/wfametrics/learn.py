@@ -23,8 +23,8 @@ from .core import (
     Wfa, Word, as_word, check_document, checked_array, checked_symbols, load_json, matrix_map,
     prefix_states, reverse, symbol_list,
 )
-from .linalg import DEFAULT_TOL, numerical_rank, sign_flips, spectral_norm
-from .metric import CannotCertifyError, _checked_scales, distance
+from .linalg import DEFAULT_TOL, numerical_rank, rank_of, sign_flips, spectral_norm
+from .metric import CannotCertifyError, _checked_scales, _with_norm, distance
 
 _DEGENERATE_REL = 1e-14
 
@@ -78,8 +78,6 @@ def hankel_from_wfa(a: Wfa, prefixes: Sequence, suffixes: Sequence) -> HankelBlo
     """
     prefixes = [a.check_word(p) for p in prefixes]
     suffixes = [a.check_word(s) for s in suffixes]
-    if not prefixes or not suffixes:
-        raise ValueError("prefix and suffix sets must be non-empty")
     if () not in prefixes or () not in suffixes:
         raise ValueError("prefix and suffix sets must both contain the empty word")
 
@@ -146,12 +144,10 @@ def spectral_learn(block: HankelBlock, rank: int, tol: float = DEFAULT_TOL) -> W
             f"rank overestimated: singular value {rank} is {sv[rank - 1]:.3e} "
             f"(leading {sv[0]:.3e})"
         )
-    if sv[rank - 1] <= tol * sv[0]:
-        warnings.warn(
-            f"requested rank {rank} exceeds numerical rank "
-            f"{int(np.sum(sv > tol * sv[0]))} of the block",
-            stacklevel=2,
-        )
+    numerical = rank_of(sv, tol)
+    if rank > numerical:
+        warnings.warn(f"requested rank {rank} exceeds numerical rank {numerical} of the block",
+                      stacklevel=2)
     signs = sign_flips(u[:, :rank])
     u_r = u[:, :rank] * signs
     v_r = vt[:rank].T * signs
@@ -177,7 +173,6 @@ def perturbation_experiment(
     *,
     seed: int = 0,
     budget: int = 1_000_000,
-    tol: float = DEFAULT_TOL,
 ) -> list[tuple[float, float, float, float, float, str]]:
     """Learning robustness sweep: perturb an exact block, learn, measure distance.
 
@@ -187,14 +182,14 @@ def perturbation_experiment(
     the certified distance to ``a`` is bracketed.  Rows are
     ``(scale, hankel_err, d_lower, d_upper, ratio, status)`` with
     ``ratio = d_upper / scale``; pairs whose discount cannot be certified are
-    flagged ``"skipped"``.  ``trials < 1`` or a negative or non-finite scale
-    raises ``ValueError``.
+    flagged ``"skipped"``.  Ranks are decided at ``DEFAULT_TOL``.  ``trials < 1``
+    or a negative or non-finite scale raises ``ValueError``.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     noise_scales = _checked_scales(noise_scales)
     block = hankel_from_wfa(a, prefixes, suffixes)
-    rank = minimize(a, tol).dim
+    rank = minimize(a).dim
     if rank == 0:
         raise ValueError("the target automaton computes the zero function; nothing to learn")
     rows = []
@@ -204,7 +199,7 @@ def perturbation_experiment(
             noisy = _perturb_block(block, scale, rng)
             hankel_err = spectral_norm(noisy.h - block.h)
             try:
-                learned = spectral_learn(noisy, rank, tol)
+                learned = spectral_learn(noisy, rank)
                 interval = distance(a, learned, gamma, eps, budget)
             except CannotCertifyError:
                 rows.append((scale, hankel_err, np.nan, np.nan, np.nan, "skipped"))
@@ -218,12 +213,7 @@ def _signed_noise(rng: np.random.Generator, shape, scale: float) -> np.ndarray:
     if scale == 0.0:
         return np.zeros(shape)
     signs = rng.integers(0, 2, size=shape) * 2.0 - 1.0
-    noise = signs * scale / np.sqrt(np.prod(shape))
-    if len(shape) == 2:
-        current = spectral_norm(noise)
-    else:
-        current = float(np.linalg.norm(noise))
-    return noise * (scale / current)
+    return _with_norm(signs * scale / np.sqrt(np.prod(shape)), scale)
 
 
 def _perturb_block(block: HankelBlock, scale: float, rng: np.random.Generator) -> HankelBlock:

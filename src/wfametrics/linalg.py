@@ -34,8 +34,12 @@ def sign_flips(basis: np.ndarray) -> np.ndarray:
 
 def fix_signs(basis: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive."""
-    basis = np.asarray(basis, dtype=float)
     return basis * sign_flips(basis)
+
+
+def rank_of(sv: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    """Numerical rank from descending singular values: how many exceed ``tol * sv[0]``."""
+    return int(np.sum(sv > tol * sv[0]))
 
 
 def numerical_rank(mat: np.ndarray, tol: float = DEFAULT_TOL) -> int:
@@ -43,10 +47,7 @@ def numerical_rank(mat: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     mat = np.asarray(mat, dtype=float)
     if mat.size == 0:
         return 0
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[0] <= 0.0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
+    return rank_of(np.linalg.svd(mat, compute_uv=False), tol)
 
 
 def null_basis(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -57,8 +58,7 @@ def null_basis(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         return np.eye(n)
     # Only a wide input needs the full V; a tall one skips the full m-by-m U.
     _, sv, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    rank = int(np.sum(sv > tol * sv[0])) if sv.size else 0
-    return fix_signs(vt[rank:].T)
+    return fix_signs(vt[rank_of(sv, tol):].T)
 
 
 def orth_basis(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -67,25 +67,20 @@ def orth_basis(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     if mat.size == 0 or not np.any(mat):
         return np.zeros((mat.shape[0], 0))
     u, sv, _ = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(sv > tol * sv[0])) if sv.size else 0
-    return fix_signs(u[:, :rank])
+    return fix_signs(u[:, :rank_of(sv, tol)])
 
 
 def spectral_norm(mat: np.ndarray) -> float:
-    """Largest singular value."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.size == 0:
-        return 0.0
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+    """Largest singular value; 0 for a matrix with no entries."""
+    return float(spectral_norms(mat))
 
 
 def spectral_norms(mats: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a stacked ``(..., n, n)`` array."""
+    """Largest singular value of each matrix in a stacked ``(..., m, n)`` array; 0 when m or n is 0."""
     mats = np.asarray(mats, dtype=float)
-    if mats.shape[-1] == 0:
+    if 0 in mats.shape[-2:]:
         return np.zeros(mats.shape[:-2])
-    sv = np.linalg.svd(mats, compute_uv=False)
-    return sv[..., 0]
+    return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
 def frobenius_norms(mats: np.ndarray) -> np.ndarray:

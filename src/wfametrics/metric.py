@@ -94,7 +94,7 @@ import numpy as np
 
 from .bisim import Subspace, largest_bisimulation
 from .core import Wfa, checked_array, difference, discounted_sum, with_initial
-from .jsr import _decode_word, extend_products, wfa_spectral_radius
+from .jsr import _as_square_stack, _decode_word, extend_products, wfa_spectral_radius
 from .linalg import max_spectral_norm, spectral_norm
 
 DEFAULT_EPS = 1e-6
@@ -176,8 +176,6 @@ def admissible_gamma_bound(a: Wfa, depth: int = 8) -> float:
     ``gamma < 1/rho(a)``.  Returns ``inf`` when the transitions are nilpotent
     enough to give a zero upper bound.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
     upper = wfa_spectral_radius(a, depth).upper
     if upper == 0.0:
         return np.inf
@@ -190,11 +188,14 @@ def balance_scaling(mats) -> np.ndarray:
     Heuristic only: any well-conditioned diagonal gives valid bounds, this one
     just tends to shrink ``max_s |tau_s|_S``.  Deterministic.  The stack is
     first divided by the power of two of its largest entry, which keeps the
-    squares finite and every ratio the iteration takes exact.
+    squares finite and every ratio the iteration takes exact.  Rejects a
+    non-square or non-finite matrix with a ``ValueError`` naming its position.
     """
-    stack = np.stack([np.asarray(m, dtype=float) for m in mats])
-    stack = np.ldexp(stack, -np.frexp(np.max(np.abs(stack)))[1])
+    stack = _as_square_stack(mats)
     n = stack.shape[1]
+    if n == 0:
+        return np.eye(0)
+    stack = np.ldexp(stack, -np.frexp(np.max(np.abs(stack)))[1])
     d = np.ones(n)
     for _ in range(_BALANCE_ITERS):
         scaled = d[None, :, None] * stack / d[None, None, :]
@@ -251,7 +252,7 @@ def _certificates(stack: np.ndarray, depth: int):
             top = max_spectral_norm(prods)
             if m == 1:
                 step = top
-            theta = top ** (1.0 / m) if top > 0 else 0.0
+            theta = top ** (1.0 / m)
             yield TailBoundParams(theta=theta, scaling=s_mat, block_len=m, step_norm=max(1.0, step))
 
 
@@ -304,7 +305,7 @@ class _BoundData:
     def __init__(self, a: Wfa, gamma: float, params: TailBoundParams, kernel: Subspace | None):
         n = a.dim
         s_mat = params.scaling
-        s_inv = np.linalg.inv(s_mat) if n else np.eye(0)
+        s_inv = np.linalg.inv(s_mat)
         self.beta = a.beta
         self.beta_dual = float(np.linalg.norm(s_inv.T @ a.beta))
         self.chain_sum = _discounted_chain_sum(gamma, params)  # G
@@ -324,7 +325,7 @@ class _BoundData:
             g = self.chain_sum
             self.resid_coeff = c_proj * (r_beta * g + gamma * delta_w * self.beta_dual * g * g)
         else:
-            self.perp_map = s_mat.copy()
+            self.perp_map = s_mat
             self.kernel_map = None
             self.resid_coeff = 0.0
 
@@ -371,15 +372,15 @@ def seminorm_interval(
     ``node_bound`` replaces the generic node bound (an extension point; see
     "Node bound" in the module docstring).  ``params`` configures only the
     generic bound, so passing it with ``node_bound`` raises ``ValueError``.
-    Also raises ``ValueError`` unless ``gamma`` is positive and finite,
-    ``eps`` is positive and ``v`` is finite, and, before any node is
-    expanded, when the root's bound is not finite (the value overflows).
+    Also raises ``ValueError`` unless ``gamma`` is positive and finite, ``eps``
+    is positive, ``budget`` is a non-negative integer and ``v`` is finite, and,
+    before any node is expanded, when the root's bound is not finite.
     """
     _check_gamma(gamma)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
+    if not (0 <= budget < math.inf and budget % 1 == 0):  # else nodes_expanded never equals it
+        raise ValueError(f"budget must be a non-negative integer, got {budget}")
     v = checked_array(v, "vector", (a.dim,))
     if node_bound is not None and params is not None:
         raise ValueError("params configures the generic node bound and is ignored with node_bound")
@@ -582,9 +583,9 @@ def parameter_continuity_experiment(
     for idx, scale in enumerate(_checked_scales(perturbation_scales)):
         rng = np.random.default_rng([seed, idx])
         n = a.dim
-        alpha = a.alpha + _random_vector(rng, n, scale)
-        beta = a.beta + _random_vector(rng, n, scale)
-        trans = {s: a.trans[s] + _random_matrix(rng, n, scale) for s in a.alphabet}
+        alpha = a.alpha + _random_direction(rng, (n,), scale)
+        beta = a.beta + _random_direction(rng, (n,), scale)
+        trans = {s: a.trans[s] + _random_direction(rng, (n, n), scale) for s in a.alphabet}
         perturbed = Wfa(alphabet=a.alphabet, alpha=alpha, beta=beta, trans=trans)
         try:
             interval = distance(a, perturbed, gamma, eps, budget)
@@ -595,15 +596,13 @@ def parameter_continuity_experiment(
     return rows
 
 
-def _random_vector(rng: np.random.Generator, n: int, norm: float) -> np.ndarray:
-    if norm == 0.0 or n == 0:
-        return np.zeros(n)
-    vec = rng.standard_normal(n)
-    return vec * (norm / np.linalg.norm(vec))
+def _random_direction(rng: np.random.Generator, shape: tuple[int, ...], norm: float) -> np.ndarray:
+    """A standard normal draw of ``shape``, rescaled by :func:`_with_norm`."""
+    if norm == 0.0 or 0 in shape:
+        return np.zeros(shape)
+    return _with_norm(rng.standard_normal(shape), norm)
 
 
-def _random_matrix(rng: np.random.Generator, n: int, norm: float) -> np.ndarray:
-    if norm == 0.0 or n == 0:
-        return np.zeros((n, n))
-    mat = rng.standard_normal((n, n))
-    return mat * (norm / spectral_norm(mat))
+def _with_norm(x: np.ndarray, norm: float) -> np.ndarray:
+    """``x`` rescaled to ``norm``: the 2-norm of a vector, the spectral norm of a matrix."""
+    return x * (norm / (spectral_norm(x) if x.ndim == 2 else np.linalg.norm(x)))

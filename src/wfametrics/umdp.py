@@ -65,7 +65,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .core import (
-    Wfa, as_word, check_document, check_size, checked_array, checked_symbols, discounted_sum,
+    Wfa, check_document, check_size, checked_array, checked_symbols, discounted_sum,
     load_json, matrix_map, save_json, symbol_list,
 )
 from .metric import DEFAULT_BUDGET, DEFAULT_EPS, CannotCertifyError, CertifiedInterval
@@ -130,15 +130,13 @@ def umdp_value_truncated(u: Umdp, x: Iterable[str], horizon: int) -> float:
     Computes ``sum_{t=1..horizon} gamma^(t-1) alpha' T_{x<t} beta`` from the
     forward states of :func:`umdp_to_wfa`, which are the state distributions.
     """
-    word = as_word(x)
+    a = umdp_to_wfa(u)
+    word = a.check_word(x)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if len(word) < horizon:
         raise ValueError(f"action string of length {len(word)} shorter than horizon {horizon}")
-    for act in word:
-        if act not in u.trans:
-            raise ValueError(f"unknown action {act!r}; actions are {list(u.actions)}")
-    return discounted_sum(umdp_to_wfa(u), word[: horizon - 1], u.gamma)
+    return discounted_sum(a, word[: horizon - 1], u.gamma)
 
 
 def umdp_to_wfa(u: Umdp) -> Wfa:

@@ -15,7 +15,7 @@ from wfametrics import (
     with_initial,
 )
 from wfametrics.jsr import DEFAULT_NODE_BUDGET, extend_products
-from wfametrics.linalg import spectral_norms, spectral_radii
+from wfametrics.linalg import spectral_norm, spectral_norms, spectral_radii
 from conftest import random_stochastic, random_wfa
 
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -410,3 +410,12 @@ class TestHausdorff:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             hausdorff_distance([np.eye(2)], [np.eye(3)])
+
+    def test_equals_a_per_pair_loop(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            m1, m2 = (rng.standard_normal((int(rng.integers(1, 4)), n, n)) for _ in range(2))
+            dist = np.array([[spectral_norm(x - y) for y in m2] for x in m1])
+            expected = max(np.max(np.min(dist, axis=1)), np.max(np.min(dist, axis=0)))
+            assert hausdorff_distance(m1, m2) == expected

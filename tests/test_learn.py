@@ -68,6 +68,8 @@ class TestHankelFromWfa:
         a = random_wfa(rng)
         with pytest.raises(ValueError, match="empty word"):
             hankel_from_wfa(a, [("a",)], [(), ("a",)])
+        with pytest.raises(ValueError, match="empty word"):
+            hankel_from_wfa(a, [], [()])
 
     def test_unknown_symbol(self, rng):
         a = random_wfa(rng)

@@ -7,6 +7,7 @@ from wfametrics.linalg import (
     max_spectral_norm,
     null_basis,
     sign_flips,
+    spectral_norm,
     spectral_norms,
 )
 
@@ -107,3 +108,7 @@ class TestMaxSpectralNorm:
     ], ids=["scaled-identity", "rank-one-vs-diagonal", "zero", "empty-matrices"])
     def test_norm_equal_to_frobenius(self, mats):
         assert max_spectral_norm(mats) == np.max(spectral_norms(mats))
+
+    def test_matrices_with_no_entries_have_norm_zero(self):
+        np.testing.assert_array_equal(spectral_norms(np.zeros((2, 0, 3))), np.zeros(2))
+        assert spectral_norm(np.zeros((0, 3))) == 0.0

@@ -171,6 +171,17 @@ class TestTailParams:
             for exponent in (600, -600):
                 assert np.array_equal(balance_scaling(np.ldexp(stack, exponent)), expected)
 
+    def test_balance_scaling_of_no_states(self):
+        assert np.array_equal(balance_scaling([np.zeros((0, 0))]), np.eye(0))
+
+    @pytest.mark.parametrize("mat, message", [
+        ([[1.0, np.nan], [0.0, 1.0]], "matrix 0 has a non-finite entry"),
+        (np.ones((2, 3)), r"matrix 0 has shape \(2, 3\)"),
+    ])
+    def test_balance_scaling_names_a_bad_matrix(self, mat, message):
+        with pytest.raises(ValueError, match=message):
+            balance_scaling([mat, np.eye(2)])
+
     def test_single_step_identity_accepted(self, rng):
         a = random_wfa(rng, norm_cap=0.8)
         params = compute_tail_params(a, gamma=1.0)
@@ -247,6 +258,23 @@ class TestSeminormInterval:
         assert not wide.converged
         assert wide.lower - 1e-12 <= tight.lower
         assert wide.upper + 1e-12 >= tight.upper
+
+    @pytest.mark.parametrize("budget", [2.5, np.nan, np.inf, -1])
+    def test_budget_that_is_not_a_count_raises(self, rng, budget):
+        # 2.5 and NaN were once silently unlimited: the loop stops at nodes_expanded == budget
+        a = random_wfa(rng, n=3, norm_cap=0.95)
+        v = rng.standard_normal(3)
+        message = f"budget must be a non-negative integer, got {budget}"
+        with pytest.raises(ValueError, match=message):
+            seminorm_interval(a, v, gamma=0.9, eps=1e-12, budget=budget)
+        with pytest.raises(ValueError, match=message):
+            distance(a, with_initial(a, v), gamma=0.9, eps=1e-12, budget=budget)
+
+    @pytest.mark.parametrize("budget", [3.0, np.int64(3)])
+    def test_integral_budget_of_another_type(self, rng, budget):
+        a = random_wfa(rng, n=3, norm_cap=0.95)
+        iv = seminorm_interval(a, rng.standard_normal(3), gamma=0.9, eps=1e-12, budget=budget)
+        assert (iv.nodes_expanded, iv.converged) == (3, False)
 
     def test_witness_attains_lower(self, rng):
         a = random_wfa(rng, n=3)

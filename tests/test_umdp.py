@@ -116,6 +116,11 @@ class TestTruncatedValue:
         with pytest.raises(ValueError, match="'z'"):
             umdp_value_truncated(u, ("z",), 1)
 
+    def test_unknown_action_reported_before_the_horizon(self, rng):
+        u = random_umdp(rng)
+        with pytest.raises(ValueError, match="unknown symbol 'z'"):
+            umdp_value_truncated(u, "az", 5)
+
 
 class TestReduction:
     def test_identity_transitions_geometric(self):
