@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Wfa, reverse
-from .linalg import DEFAULT_TOL, null_basis, orth_basis
+from .linalg import DEFAULT_TOL, check_tol, null_basis, orth_basis
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,8 @@ def largest_bisimulation(a: Wfa, tol: float = DEFAULT_TOL) -> Subspace:
 
     Computed as the orthogonal complement of ``reachable_subspace(reverse(a))``,
     the span of the covectors ``T[x]^T beta`` over all words ``x``.  The zero
-    subspace is always a valid answer.  ``tol <= 0`` raises ``ValueError``.
+    subspace is always a valid answer.  A ``tol`` that is not positive (NaN
+    included) raises ``ValueError``.
     """
     return Subspace(reachable_subspace(reverse(a), tol).complement_basis(), tol)
 
@@ -89,8 +90,7 @@ def reachable_subspace(a: Wfa, tol: float = DEFAULT_TOL) -> Subspace:
     Grows the span of ``alpha`` under the transition maps, re-orthonormalizing
     each round, and stops once the rank stabilizes (at most ``dim`` rounds).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     n = a.dim
     if n == 0:
         return Subspace(np.zeros((0, 0)), tol)

@@ -37,6 +37,7 @@ from .core import Wfa
 from .linalg import (
     CAP_SLACK,
     DEFAULT_TOL,
+    check_tol,
     frobenius_norms,
     max_spectral_norm,
     spectral_norms,
@@ -221,8 +222,7 @@ def is_irreducible(mats, tol: float = DEFAULT_TOL) -> bool:
     ``False`` can be an artifact of working over the reals rather than the
     complex field, where the criterion is exact.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     gens = _as_square_stack(mats)
     n = gens.shape[1]
     basis = np.zeros((n * n, n * n))

@@ -23,7 +23,7 @@ from .core import (
     Wfa, Word, as_word, check_document, checked_array, checked_symbols, load_json, matrix_map,
     prefix_states, reverse, symbol_list,
 )
-from .linalg import DEFAULT_TOL, numerical_rank, rank_of, sign_flips, spectral_norm
+from .linalg import DEFAULT_TOL, check_tol, numerical_rank, rank_of, sign_flips, spectral_norm
 from .metric import CannotCertifyError, _checked_scales, _with_norm, distance
 
 _DEGENERATE_REL = 1e-14
@@ -120,6 +120,7 @@ def consistency_residual(block: HankelBlock) -> float:
 
 def basis_is_complete(a: Wfa, block: HankelBlock, tol: float = DEFAULT_TOL) -> bool:
     """Whether the block's rank reaches the rank of the full Hankel matrix of ``a``."""
+    check_tol(tol)
     return numerical_rank(block.h, tol) == minimize(a, tol).dim
 
 
@@ -133,6 +134,7 @@ def spectral_learn(block: HankelBlock, rank: int, tol: float = DEFAULT_TOL) -> W
     rank above the numerical rank of H warns and proceeds; degenerate
     singular values raise.
     """
+    check_tol(tol)
     if rank < 1:
         raise ValueError("rank must be at least 1")
     np_, ns = block.h.shape

@@ -37,6 +37,12 @@ def fix_signs(basis: np.ndarray) -> np.ndarray:
     return basis * sign_flips(basis)
 
 
+def check_tol(tol: float) -> None:
+    """Reject a rank tolerance that is not positive (NaN included)."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+
+
 def rank_of(sv: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank from descending singular values: how many exceed ``tol * sv[0]``."""
     return int(np.sum(sv > tol * sv[0]))

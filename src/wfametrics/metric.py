@@ -25,6 +25,9 @@ whose discounted sum is the closed form
 
     G = sum_j gamma^j c_j = (sum_{r<m} (gamma*K)^r) / (1 - (gamma*theta)^m).
 
+The node bound below uses ``theta`` for its tail and ``G`` only for the
+residuals of the bisimulation kernel.
+
 Node bound
 ----------
 :func:`seminorm_interval` runs one search loop over any :class:`NodeBound`,
@@ -55,26 +58,48 @@ tail and the rounding of the estimate.
 For a prefix ``y`` of length ``d`` with state ``u = tau_y v`` and partial value
 ``P(y) = sum_{t<=d} gamma^t |beta(tau_{y<=t} v)|``, the remaining supremum is
 ``gamma^d * R(u)`` with ``R(u) = sup_z sum_{j>=1} gamma^j |beta(tau_{z<=j} u)|``.
+The term of a word ``x`` of length ``j`` is ``gamma^j |c_x . u|``, with the
+covector ``c_x = tau_x^T beta``, so the generic bound takes the first ``J``
+levels exactly and the rest from the certificate:
+
+    R(u) <= sum_{j=1..J} gamma^j max_{|x|=j} |c_x . u| + tau |u|_S,
+    tau = (sum_{J-m<j<=J} gamma^j d_j) (gamma*theta)^m / (1 - (gamma*theta)^m),
+
+with ``d_j = max_{|x|=j} ||S^-T c_x||_2``, the largest dual norm on level
+``j``, and ``J >= m``.  The tail holds because putting a block of ``m``
+symbols in front of a word multiplies its covector by a block product's
+transpose, so ``d_{j+m} <= theta^m d_j``: each level past ``J`` is bounded by
+one of the last ``m`` levels, ``(gamma*theta)^m`` smaller per block.  For the
+same certificate every term is at most the matching term of the chain bound
+``|beta|_S* (G-1) |u|_S``, as ``d_j <= |beta|_S* c_j``; the head sees the
+direction of ``u`` where the chain sees only its size.  The ``N`` covectors
+are formed once per search by :func:`~wfametrics.jsr.extend_products` on
+the transposed stack, as ``gamma^j c_x``, whose norms fall by
+``(gamma*theta)^m`` per block and so do not overflow past level ``m``.
+``J`` is the most levels that keep ``n * N`` within 8,192, but at least
+``m``.  A call of ``children`` is one product of its rows with an
+``n``-row matrix (the covectors, then ``S`` and ``S P_W`` for the norms), a
+maximum per level and a norm per row.
+
 Let ``W`` be the largest bisimulation subspace and ``P_W`` its orthogonal
 projector.  For an exact ``W`` every trajectory started inside ``W`` stays in
-``ker(beta)``, so ``R(u) = R((I-P_W)u) <= |beta|_S* (G-1) |(I-P_W)u|_S``;
-this is the term that lets equivalent automata close to width ~0 at the root.
-With ``W = {0}`` it reduces to the plain chain bound.
+``ker(beta)``, so ``R(u) = R((I-P_W)u)``: the bound above is applied to
+``y = (I-P_W)u``, which lets equivalent automata close to width ~0 at the
+root.  With ``W = {0}``, ``y = u``.
 
 The subspace is computed numerically, so two residuals enter: ``r_beta``
 (how far ``W`` sticks out of ``ker beta``) and ``delta_W`` (how far ``tau_s``
 maps unit vectors of ``W`` outside ``W``), both measured in the working norm.
-Splitting ``u = (I-P_W)u + P_W u`` and telescoping the escaped mass gives, to
-first order in the residuals,
+``R`` is subadditive, ``R(u) <= R(y) + R(P_W u)``, and telescoping the escaped
+mass gives, to first order in the residuals,
 
-    R(u) <= |beta|_S* (G-1) |(I-P_W)u|_S
-            + C_P (r_beta G + gamma delta_W |beta|_S* G^2) |P_W u|_S
+    R(P_W u) <= C_P (r_beta G + gamma delta_W |beta|_S* G^2) |P_W u|_S
 
 with ``C_P = |P_W|_S``.  Second-order residual terms are neglected; with
 SVD-clean subspaces the residuals are ~1e-12 relative, far below the interval
 resolutions used anywhere in this package.  ``W`` is computed by
 :func:`~wfametrics.bisim.largest_bisimulation` at its default ``tol``; when it
-is trivial the bound is the plain chain bound, with no residual terms.
+is trivial there are no residual terms.
 
 Node ordering is best-first by node upper bound, ties broken by depth and
 then by the word's base-k index (its symbols' positions in the sorted
@@ -101,6 +126,7 @@ DEFAULT_EPS = 1e-6
 DEFAULT_BUDGET = 1_000_000
 _CERT_MARGIN = 1e-12
 _PRODUCT_CAP = 4096  # most products in one level of the certificate search
+_COVECTOR_WORK = 8192  # most entries n * N in the node bound's N covectors
 _BALANCE_ITERS, _BALANCE_COND_CAP = 25, 1e8  # balance_scaling: rounds, largest d_max / d_min
 
 
@@ -108,6 +134,12 @@ def _check_gamma(gamma: float) -> None:
     """Reject a discount that is not a positive finite number (NaN included)."""
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
+
+
+def _check_budget(budget) -> None:
+    """Reject a node budget that is not a non-negative integer (NaN included)."""
+    if not (0 <= budget < math.inf and budget % 1 == 0):  # else nodes_expanded never equals it
+        raise ValueError(f"budget must be a non-negative integer, got {budget}")
 
 
 def _checked_scales(scales) -> list[float]:
@@ -277,16 +309,6 @@ def compute_tail_params(a: Wfa, gamma: float, depth: int = 8) -> TailBoundParams
     )
 
 
-def _discounted_chain_sum(gamma: float, params: TailBoundParams) -> float:
-    """G = sum_{j>=0} gamma^j c_j for the block growth chain."""
-    m, theta, big_k = params.block_len, params.theta, params.step_norm
-    gt = gamma * theta
-    if gt**m >= 1.0:
-        raise CannotCertifyError(f"tail series diverges: (gamma*theta)^m = {gt**m}")
-    head = sum((gamma * big_k) ** r for r in range(m))
-    return head / (1.0 - gt**m)
-
-
 class NodeBound(Protocol):
     """A branch-and-bound node bound; see "Node bound" in the module docstring.
 
@@ -300,53 +322,59 @@ class NodeBound(Protocol):
 
 
 class _BoundData:
-    """The generic node bound: precomputed constants of the chain bound."""
+    """The generic node bound: covector head, geometric tail and kernel residual.
+
+    See "Node bound" in the module docstring.
+    """
 
     def __init__(self, a: Wfa, gamma: float, params: TailBoundParams, kernel: Subspace | None):
-        n = a.dim
+        n, k = a.dim, len(a.alphabet)
+        m, theta = params.block_len, params.theta
+        gtm = (gamma * theta) ** m
+        if gtm >= 1.0:
+            raise CannotCertifyError(f"tail series diverges: (gamma*theta)^m = {gtm}")
         s_mat = params.scaling
         s_inv = np.linalg.inv(s_mat)
-        self.beta = a.beta
-        self.beta_dual = float(np.linalg.norm(s_inv.T @ a.beta))
-        self.chain_sum = _discounted_chain_sum(gamma, params)  # G
-        self.perp_coeff = self.beta_dual * (self.chain_sum - 1.0)  # |beta|_S* (G - 1)
-        if kernel is not None and kernel.dim > 0:
+        # levels[j] holds gamma^j c_x for the words x of length j = 0..J
+        stack_t = gamma * a.trans_stack().transpose(0, 2, 1)
+        levels, count = [a.beta[None, :, None]], 0
+        while len(levels) <= m or max(n, 1) * (count + k ** len(levels)) <= _COVECTOR_WORK:
+            levels.append(extend_products(stack_t, levels[-1]))
+            count += len(levels[-1])
+        covectors = np.concatenate([level[:, :, 0] for level in levels[1:]])
+        tail = sum(float(np.max(np.linalg.norm(level[:, :, 0] @ s_inv, axis=1))) for level in levels[-m:])
+        tau = tail * gtm / (1.0 - gtm)
+        if kernel is None or kernel.dim == 0:
+            maps, coeffs = [s_mat], [tau]
+        else:
             basis = kernel.basis
             proj = kernel.projector()
-            self.perp_map = s_mat @ (np.eye(n) - proj)
-            self.kernel_map = s_mat @ proj
+            perp = np.eye(n) - proj
+            covectors = covectors @ perp  # c_x . (I - P_W) u
+            beta_dual = float(np.linalg.norm(s_inv.T @ a.beta))
             sb_pinv = np.linalg.pinv(s_mat @ basis)
             r_beta = float(np.linalg.norm(sb_pinv.T @ (basis.T @ a.beta)))
             delta_w = max(
-                float(spectral_norm(self.perp_map @ a.trans[sym] @ basis @ sb_pinv))
+                float(spectral_norm(s_mat @ perp @ a.trans[sym] @ basis @ sb_pinv))
                 for sym in a.alphabet
             )
             c_proj = float(spectral_norm(s_mat @ proj @ s_inv))
-            g = self.chain_sum
-            self.resid_coeff = c_proj * (r_beta * g + gamma * delta_w * self.beta_dual * g * g)
-        else:
-            self.perp_map = s_mat
-            self.kernel_map = None
-            self.resid_coeff = 0.0
+            g = sum((gamma * params.step_norm) ** r for r in range(m)) / (1.0 - gtm)  # the chain sum G
+            resid_coeff = c_proj * (r_beta * g + gamma * delta_w * beta_dual * g * g)
+            maps, coeffs = [s_mat @ perp, s_mat @ proj], [tau, resid_coeff]
+        self.beta, self.count = a.beta, count
+        self.level_starts = np.cumsum([0] + [len(level) for level in levels[1:-1]])
+        self.cols = np.hstack([covectors.T] + [mat.T for mat in maps])
+        self.norm_starts, self.norm_coeffs = n * np.arange(len(maps)), np.array(coeffs)
 
     def children(self, states: np.ndarray) -> tuple[list[float], list[float], None]:
-        # This runs once per expanded node.  sqrt(y.dot(y)) is what
-        # np.linalg.norm computes for a real vector, without its call overhead;
-        # ndarray.dot runs the same BLAS gemv as @ with less dispatch; one gemm
-        # over all k children would change the last bits of the bounds.
-        coef, perp_map = self.perp_coeff, self.perp_map
-        kernel_map, resid_coeff = self.kernel_map, self.resid_coeff
-        sqrt = math.sqrt
-        rems = []
-        for i in range(len(states)):  # indexing makes faster views than iterating
-            state = states[i]
-            y = perp_map.dot(state)
-            rem = coef * sqrt(y.dot(y))
-            if kernel_map is not None:
-                y = kernel_map.dot(state)
-                rem += resid_coeff * sqrt(y.dot(y))
-            rems.append(rem)
-        return np.abs(states.dot(self.beta)).tolist(), rems, None
+        # One product gives, for each row u, every |gamma^j c_x . y|, then |S y| and
+        # |S P_W u| entrywise (their squares are all the norms need).
+        out = np.abs(states.dot(self.cols))
+        heads = np.maximum.reduceat(out[:, :self.count], self.level_starts, axis=1)
+        norms = np.sqrt(np.add.reduceat(np.square(out[:, self.count:]), self.norm_starts, axis=1))
+        rems = heads.sum(axis=1) + norms.dot(self.norm_coeffs)
+        return np.abs(states.dot(self.beta)).tolist(), rems.tolist(), None
 
 
 def seminorm_interval(
@@ -379,8 +407,7 @@ def seminorm_interval(
     _check_gamma(gamma)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if not (0 <= budget < math.inf and budget % 1 == 0):  # else nodes_expanded never equals it
-        raise ValueError(f"budget must be a non-negative integer, got {budget}")
+    _check_budget(budget)
     v = checked_array(v, "vector", (a.dim,))
     if node_bound is not None and params is not None:
         raise ValueError("params configures the generic node bound and is ignored with node_bound")

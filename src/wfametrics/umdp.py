@@ -11,7 +11,7 @@ answers).
 Alpha-vector node bound
 -----------------------
 The search states of a UMDP are distributions and its rewards are
-non-negative, so the sup search does not need the generic norm bound of
+non-negative, so the sup search does not need the generic covector bound of
 :mod:`wfametrics.metric`, nor the JSR tail certificate and bisimulation
 kernel behind it.  Any alpha-set ``{alpha_a}`` with
 
@@ -69,7 +69,7 @@ from .core import (
     load_json, matrix_map, save_json, symbol_list,
 )
 from .metric import DEFAULT_BUDGET, DEFAULT_EPS, CannotCertifyError, CertifiedInterval
-from .metric import seminorm_interval
+from .metric import _check_budget, seminorm_interval
 
 _STOCHASTIC_TOL = 1e-12
 # policy iteration for the alpha-set stops when no choice gains beyond rounding, or here
@@ -161,11 +161,13 @@ def umdp_sup_value_interval(
 
     The search uses the alpha-vector node bound and the lasso lower bound of
     the module docstring.  Raises ``ValueError`` when ``max(beta) / (1 - gamma)``
-    overflows or ``eps`` is not positive, and
+    overflows, ``eps`` is not positive or ``budget`` is not a non-negative
+    integer, all before the alpha-set is built, and
     :class:`~wfametrics.metric.CannotCertifyError` when the alpha-set fails its check.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    _check_budget(budget)
     top = float(np.max(u.beta)) / (1.0 - u.gamma)
     if not np.isfinite(top):
         raise ValueError(f"the value bound max(beta) / (1 - gamma) = {top} overflows")

@@ -261,6 +261,25 @@ class TestValidationErrors:
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
+        ["minimize", "{two}", "--tol", "nan"],
+        ["bisim", "{two}", "--tol", "nan"],
+        ["learn", "{block}", "--rank", "1", "--tol", "-1"],
+    ])
+    def test_tol_not_positive_exit_one(self, tmp_path, argv, capsys):
+        # a NaN tol once made minimize print "dim 0" and bisim call the whole space bisimilar
+        two = Wfa(alphabet=("a", "b"), alpha=[1.0, 0.0], beta=[1.0, 0.0],
+                  trans={"a": [[0.5, 0.0], [0.0, 0.25]], "b": [[0.25, 0.0], [0.0, 0.5]]})
+        paths = {"two": tmp_path / "two.json", "block": tmp_path / "block.json"}
+        save_wfa(two, str(paths["two"]))
+        block = hankel_from_wfa(two, [(), ("a",)], [(), ("a",)])
+        paths["block"].write_text(json.dumps(block_to_dict(block)))
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tol must be positive")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
         ["distance", "{a}"],
         ["jsr", "{a}", "--depth", "abc"],
         [],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wfametrics import Wfa, bisim, hankel_from_wfa, jsr, learn
 from wfametrics.linalg import (
     DEFAULT_TOL,
     fix_signs,
@@ -112,3 +113,24 @@ class TestMaxSpectralNorm:
     def test_matrices_with_no_entries_have_norm_zero(self):
         np.testing.assert_array_equal(spectral_norms(np.zeros((2, 0, 3))), np.zeros(2))
         assert spectral_norm(np.zeros((0, 3))) == 0.0
+
+
+class TestTolCheck:
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("entry", ["reachable_subspace", "largest_bisimulation", "minimize",
+                                       "is_irreducible", "spectral_learn", "basis_is_complete"])
+    def test_every_entry_point_rejects_tol_that_is_not_positive(self, entry, tol):
+        # a NaN once passed `tol <= 0`, and every `sv > nan * sv[0]` is false: rank 0
+        a = Wfa(alphabet=("a", "b"), alpha=[1.0, 0.0], beta=[1.0, 0.0],
+                trans={"a": [[0.5, 0.0], [0.0, 0.25]], "b": [[0.25, 0.0], [0.0, 0.5]]})
+        block = hankel_from_wfa(a, [(), ("a",)], [(), ("a",)])
+        call = {
+            "reachable_subspace": lambda: bisim.reachable_subspace(a, tol),
+            "largest_bisimulation": lambda: bisim.largest_bisimulation(a, tol),
+            "minimize": lambda: bisim.minimize(a, tol),
+            "is_irreducible": lambda: jsr.is_irreducible(a.trans_stack(), tol),
+            "spectral_learn": lambda: learn.spectral_learn(block, 1, tol),
+            "basis_is_complete": lambda: learn.basis_is_complete(a, block, tol),
+        }[entry]
+        with pytest.raises(ValueError, match="tol must be positive"):
+            call()

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wfametrics import (
     CannotCertifyError,
@@ -346,11 +347,13 @@ class TestSeminormInterval:
 
 
 def tuple_word_seminorm_interval(a, v, gamma, eps, budget, projection=True):
-    """The branch-and-bound loop with tuple words and ``np.linalg.norm`` bounds.
+    """The branch-and-bound loop with tuple words.
 
     Kept as the reference for :func:`seminorm_interval`, which must return
     the same bits: each heap entry carries its word as a tuple and its power
-    of gamma, and each child bound calls ``np.linalg.norm``.  Only the heap
+    of gamma.  The bounds on ``R`` come from the generic bound's ``children``
+    on the same batches the search passes (the one-row root, then the ``k``
+    children of a node), so that any difference is the loop's.  Only the heap
     top after a budget exit tightens ``upper``; see
     ``test_stop_on_gap_keeps_popped_bound``.
     """
@@ -358,11 +361,8 @@ def tuple_word_seminorm_interval(a, v, gamma, eps, budget, projection=True):
     kernel = largest_bisimulation(a, DEFAULT_TOL) if projection else None
     data = _BoundData(a, gamma, params, kernel)
 
-    def remaining(state):
-        out = data.beta_dual * (data.chain_sum - 1.0) * float(np.linalg.norm(data.perp_map @ state))
-        if data.kernel_map is not None:
-            out += data.resid_coeff * float(np.linalg.norm(data.kernel_map @ state))
-        return out
+    def remaining(states):
+        return data.children(states)[1]
 
     stack = a.trans_stack()
     beta = a.beta
@@ -371,7 +371,7 @@ def tuple_word_seminorm_interval(a, v, gamma, eps, budget, projection=True):
     root_p = abs(float(beta @ v))
     lower = root_p
     witness = ()
-    upper = root_p + remaining(v)
+    upper = root_p + remaining(v[None])[0]
     depth_explored = 0
     nodes_expanded = 0
 
@@ -383,13 +383,14 @@ def tuple_word_seminorm_interval(a, v, gamma, eps, budget, projection=True):
             break
         children = stack @ state
         bvals = np.abs(children @ beta)
+        rems = remaining(children)
         for i, sym in enumerate(symbols):
             child_state = children[i]
             child_p = partial + gpow * float(bvals[i])
             if child_p > lower:
                 lower = child_p
                 witness = word + (sym,)
-            child_upper = child_p + gpow * remaining(child_state)
+            child_upper = child_p + gpow * rems[i]
             heapq.heappush(
                 heap,
                 (-child_upper, d + 1, word + (sym,), gpow * gamma, child_state, child_p),
@@ -412,7 +413,7 @@ def tuple_word_seminorm_interval(a, v, gamma, eps, budget, projection=True):
 
 
 def no_projection_bound(a, gamma):
-    """The generic bound with ``W = {0}``: the plain chain bound, no residual terms."""
+    """The generic bound with ``W = {0}``: the covector bound on the whole state, no residual terms."""
     return _BoundData(a, gamma, compute_tail_params(a, gamma), None)
 
 
@@ -505,6 +506,76 @@ class TestBranchAndBoundLoop:
             word = iv.witness_prefix
             value = sum(gamma**t * abs(evaluate(start, word[:t])) for t in range(len(word) + 1))
             assert value == pytest.approx(iv.lower, rel=1e-12, abs=0.0)
+
+
+def chain_remainders(data, a, gamma, params, kernel, states):
+    """The bound on ``R`` of each row of ``states`` by the one norm chain ``|beta|_S* (G-1) |y|_S``.
+
+    ``G`` is the closed form in the module docstring; the residual term is
+    the generic bound's own, as both bounds share it.
+    """
+    m, theta, big_k, s_mat = params.block_len, params.theta, params.step_norm, params.scaling
+    g = sum((gamma * big_k) ** r for r in range(m)) / (1.0 - (gamma * theta) ** m)
+    beta_dual = np.linalg.norm(np.linalg.inv(s_mat).T @ a.beta)
+    proj = kernel.projector() if kernel is not None else np.zeros((a.dim, a.dim))
+    perp = np.linalg.norm(states @ (s_mat @ (np.eye(a.dim) - proj)).T, axis=1)
+    resid = data.norm_coeffs[1] if len(data.norm_coeffs) > 1 else 0.0
+    return beta_dual * (g - 1.0) * perp + resid * np.linalg.norm(states @ (s_mat @ proj).T, axis=1)
+
+
+class TestCovectorBound:
+    def test_at_most_the_chain_bound_for_each_certificate(self):
+        rng = np.random.default_rng(31)
+        checked = 0
+        for case in range(30):
+            alphabet = (("a",), ("a", "b"), ("a", "b", "c"))[case % 3]
+            a = random_wfa(rng, n=int(rng.integers(1, 5)), alphabet=alphabet,
+                           norm_cap=rng.uniform(0.5, 1.3))
+            if case % 2:
+                a = duplicated_copy(a)
+            gamma = rng.uniform(0.2, 0.8)
+            kernel = largest_bisimulation(a, DEFAULT_TOL) if case % 4 < 2 else None
+            states = rng.standard_normal((5, a.dim))
+            for params in metric._certificates(a.trans_stack(), 3):
+                if gamma * params.theta >= 1.0 - metric._CERT_MARGIN:
+                    continue
+                data = _BoundData(a, gamma, params, kernel)
+                rems = np.array(data.children(states)[1])
+                chain = chain_remainders(data, a, gamma, params, kernel, states)
+                assert np.all(rems <= chain * (1.0 + 1e-12))
+                checked += 1
+        assert checked >= 60
+
+    def test_levels_within_the_work_cap_but_at_least_the_block_length(self):
+        rng = np.random.default_rng(32)
+        a = random_wfa(rng, n=3, alphabet=("a", "b"), norm_cap=0.9)
+        params = compute_tail_params(a, 0.5)
+        data = _BoundData(a, 0.5, params, None)
+        # 2 + 4 + ... + 2^10 = 2046 covectors; 3 * 2046 <= 8192 < 3 * 4094
+        assert data.count == 2046 and len(data.level_starts) == 10
+        long_block = metric.TailBoundParams(params.theta, params.scaling, 12, params.step_norm)
+        assert len(_BoundData(a, 0.5, long_block, None).level_starts) == 12
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(n=st.integers(1, 5), k=st.integers(1, 3),
+           gamma=st.floats(0.2, 0.85, exclude_min=True, exclude_max=True),
+           kernel=st.sampled_from(["none", "copy", "near-copy"]), seed=st.integers(0, 2**32 - 1))
+    def test_sound_property(self, n, k, gamma, kernel, seed):
+        """``upper`` is above the truncated value and the witness re-propagates to ``lower``."""
+        rng = np.random.default_rng(seed)
+        a = random_wfa(rng, n=n, alphabet=("a", "b", "c")[:k], norm_cap=rng.uniform(0.3, 1.0))
+        if kernel != "none":  # duplicated copies: a bisimulation kernel of dimension n
+            a = duplicated_copy(a)
+        if kernel == "near-copy":  # a numerical kernel with small residuals
+            noise = 10.0 ** rng.uniform(-12, -8)
+            a = Wfa(alphabet=a.alphabet, alpha=a.alpha, beta=a.beta,
+                    trans={s: m + noise * rng.standard_normal(m.shape) for s, m in a.trans.items()})
+        v = rng.standard_normal(a.dim)
+        iv = seminorm_interval(a, v, gamma, budget=2000)
+        assert truncated_seminorm(a, v, gamma, 8) <= iv.upper
+        word = iv.witness_prefix
+        value = sum(gamma**t * abs(evaluate(with_initial(a, v), word[:t])) for t in range(len(word) + 1))
+        assert value == pytest.approx(iv.lower, rel=1e-12, abs=0.0)
 
 
 class TestNodeBoundOption:

@@ -299,6 +299,16 @@ class TestAlphaVectorBound:
         with pytest.raises(ValueError, match="overflows"):
             umdp_sup_value_interval(self.OVERFLOWING, budget=20_000)
 
+    @pytest.mark.parametrize("budget", [2.5, np.nan, -1, np.inf])
+    def test_bad_budget_rejected_before_the_alpha_set(self, rng, monkeypatch, budget):
+        # the alpha-set is a dense linear solve per policy; a bad budget once paid for it first
+        def not_called(*args):
+            raise AssertionError("_alpha_vectors was called")
+
+        monkeypatch.setattr(umdp_mod, "_alpha_vectors", not_called)
+        with pytest.raises(ValueError, match="budget"):
+            umdp_sup_value_interval(random_umdp(rng, n=3, gamma=0.5), budget=budget)
+
     def test_failed_check_cannot_certify(self, rng, monkeypatch):
         monkeypatch.setattr(umdp_mod, "_is_supersolution", lambda *args: False)
         u = random_umdp(rng, n=3, gamma=0.5)
