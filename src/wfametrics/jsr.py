@@ -22,9 +22,22 @@ and ``||P||_F`` of every product.  The eigen solve runs only on products
 whose smallest cap reaches ``lower**t`` (``rho(P)`` never exceeds a cap),
 and the SVD only on those :func:`~wfametrics.linalg.max_spectral_norm`
 cannot rule out by Frobenius norm; a level that is pruned still needs every
-spectral norm to rank its products.  Both filters keep every product that
-could tie, within a relative slack far above solver roundoff, so the bracket
-and witness are the same floats as with a solve on every product.
+spectral norm to rank its products.
+
+The cheap caps can sit far above the radius (for a random family they
+never rule out a product), so the products that pass them meet a third
+filter before the eigen solve, the power cap
+
+    rho(P) <= ||P^4||^(1/4) <= (||fl(P^4)||_F + 16 n eps ||P||_F^4)^(1/4).
+
+A backward-stable eigen solve returns the exact radius of some ``P + E``
+with ``||E||`` a small multiple of ``n eps ||P||``; the slack
+``16 n eps ||P||_F^4`` covers both that ``E`` (through ``(P + E)^4``) and
+the rounding of the two products that form ``fl(P^4)``, so the cap bounds
+every radius the solve can return, including the ``eps^(1/n)``-sized
+radii of nearly nilpotent products.  All three filters keep every product
+that could tie, within a relative slack far above solver roundoff, so the
+bracket and witness are the same floats as with a solve on every product.
 """
 
 from __future__ import annotations
@@ -45,6 +58,7 @@ from .linalg import (
 )
 
 DEFAULT_NODE_BUDGET = 50_000
+_POWER_CAP_ENTRIES = 1 << 15  # most matrix entries in one block of _power_caps
 
 
 @dataclass(frozen=True)
@@ -85,8 +99,20 @@ def extend_products(gens: np.ndarray, prods: np.ndarray) -> np.ndarray:
     With ``prods`` in lexicographic word order (the product for word
     ``x1..xt`` being ``T[xt] @ ... @ T[x1]``), the result is the next level in
     the same order.  ``prods`` may also be a stack of ``(n, 1)`` states.
+
+    A stack of states goes through ``einsum``, the faster kernel there at
+    small ``n``, whose summation order
+    :func:`~wfametrics.metric.truncated_seminorm` is tested against.  A stack
+    of ``n``-by-``n`` matrices goes through one broadcast ``matmul`` (BLAS),
+    whose last bits depend on the BLAS build.  An entry that overflows comes
+    back infinite without a warning: every caller checks the level for
+    finiteness before it trusts it.
     """
-    return np.einsum("gij,pjk->pgik", gens, prods).reshape((-1,) + prods.shape[1:])
+    shape = (-1,) + prods.shape[1:]
+    if prods.shape[2] == 1:
+        return np.einsum("gij,pjk->pgik", gens, prods).reshape(shape)
+    with np.errstate(over="ignore"):
+        return np.matmul(gens[None], prods[:, None]).reshape(shape)
 
 
 def jsr_bounds(
@@ -142,13 +168,16 @@ def jsr_bounds(
         with np.errstate(over="ignore"):  # an infinite cap is still a cap
             row_caps = abs_prods.sum(axis=2).max(axis=1)  # ||P||_inf
             col_caps = abs_prods.sum(axis=1).max(axis=1)  # ||P||_1
-            caps = np.minimum(np.minimum(row_caps, col_caps), frobenius_norms(prods))
+            fro = frobenius_norms(prods)
+            caps = np.minimum(np.minimum(row_caps, col_caps), fro)
             reach = np.float64(lower) ** t * (1.0 - CAP_SLACK)
+        del abs_prods  # not held while the power caps are formed
 
-        # rho(P) <= caps, so a product below lower**t cannot raise lower; every
-        # product tied for the largest radius is kept, so argmax finds the
-        # same first one
+        # rho(P) <= caps and rho(P) <= power caps, so a product below lower**t
+        # cannot raise lower; every product tied for the largest radius is
+        # kept, so argmax finds the same first one
         solve = np.flatnonzero(caps >= reach)
+        solve = solve[_power_caps(prods, fro, solve) >= reach]
         if solve.size:
             radii = spectral_radii(prods[solve])
             best = int(np.argmax(radii))
@@ -178,6 +207,29 @@ def jsr_bounds(
     if lower > upper:
         lower = upper
     return JsrBounds(lower, upper, depth, witness, truncated)
+
+
+def _power_caps(prods: np.ndarray, fro: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The power cap of each ``prods[rows]``, given the Frobenius norms ``fro`` of ``prods``.
+
+    With ``Q = P / ||P||_F`` the cap is ``||P||_F (||fl(Q^4)||_F + 16 n eps)^(1/4)``:
+    ``(||fl(P^4)||_F + 16 n eps ||P||_F^4)^(1/4)`` computed on a unit matrix,
+    where ``P^4`` would underflow for tiny products and overflow for large
+    ones.  Products are taken a block of at most ``_POWER_CAP_ENTRIES``
+    entries at a time, so ``Q^2`` and ``Q^4`` of a whole level are never held
+    at once.
+    """
+    n = prods.shape[1]
+    slack = 16 * n * np.finfo(float).eps
+    step = max(1, _POWER_CAP_ENTRIES // (n * n))
+    caps = np.empty(len(rows))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        unit = prods[block] / fro[block, None, None]
+        square = unit @ unit
+        fourth = frobenius_norms(square @ square)
+        caps[start:start + step] = fro[block] * np.sqrt(np.sqrt(fourth + slack))
+    return caps
 
 
 def _word_index(kept: list[np.ndarray | None], k: int, row: int) -> int:

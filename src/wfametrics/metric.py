@@ -76,8 +76,8 @@ direction of ``u`` where the chain sees only its size.  The ``N`` covectors
 are formed once per search by :func:`~wfametrics.jsr.extend_products` on
 the transposed stack, as ``gamma^j c_x``, whose norms fall by
 ``(gamma*theta)^m`` per block and so do not overflow past level ``m``.
-``J`` is the most levels that keep ``n * N`` within 8,192, but at least
-``m``.  A call of ``children`` is one product of its rows with an
+``J`` is the most levels, up to 64, that keep ``n * N`` within 8,192, but
+at least ``m``.  A call of ``children`` is one product of its rows with an
 ``n``-row matrix (the covectors, then ``S`` and ``S P_W`` for the norms), a
 maximum per level and a norm per row.
 
@@ -127,6 +127,7 @@ DEFAULT_BUDGET = 1_000_000
 _CERT_MARGIN = 1e-12
 _PRODUCT_CAP = 4096  # most products in one level of the certificate search
 _COVECTOR_WORK = 8192  # most entries n * N in the node bound's N covectors
+_COVECTOR_LEVELS = 64  # most covector levels J (unless the block length is longer)
 _BALANCE_ITERS, _BALANCE_COND_CAP = 25, 1e8  # balance_scaling: rounds, largest d_max / d_min
 
 
@@ -243,11 +244,16 @@ def balance_scaling(mats) -> np.ndarray:
     return np.diag(d)
 
 
-def _candidate_scalings(mats) -> list[np.ndarray]:
-    """Working-norm scalings to try: the identity, then balancing unless it is the identity."""
+def _candidate_scalings(mats):
+    """Working-norm scalings to try: the identity, then balancing unless it is the identity.
+
+    A generator: :func:`balance_scaling` runs only when the second scaling is asked for.
+    """
     eye = np.eye(mats[0].shape[0])
+    yield eye
     balanced = balance_scaling(mats)
-    return [eye] if np.allclose(balanced, eye) else [eye, balanced]
+    if not np.allclose(balanced, eye):
+        yield balanced
 
 
 def _conjugate(s_mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -266,6 +272,11 @@ def _certificates(stack: np.ndarray, depth: int):
     their norms at each level m; each level is formed once, by extending the
     one before it, and the level-1 maximum norm is ``K``.  Over a 0-dimensional space the one candidate is
     ``theta = 0``.
+
+    The candidates are made as they are asked for.  The balancing scaling is
+    computed only once the identity's levels are used up, so a caller that
+    stops at the first certificate that holds (:func:`compute_tail_params`)
+    computes it only when the identity certifies nothing.
     """
     n, k = stack.shape[1], stack.shape[0]
     if n == 0:
@@ -277,8 +288,7 @@ def _certificates(stack: np.ndarray, depth: int):
         for m in range(1, depth + 1):
             if m > 1 and k**m > _PRODUCT_CAP:
                 break
-            with np.errstate(over="ignore"):
-                prods = extend_products(scaled, prods)
+            prods = extend_products(scaled, prods)
             if not np.isfinite(prods).all():  # an overflowing level certifies nothing
                 break
             top = max_spectral_norm(prods)
@@ -338,7 +348,9 @@ class _BoundData:
         # levels[j] holds gamma^j c_x for the words x of length j = 0..J
         stack_t = gamma * a.trans_stack().transpose(0, 2, 1)
         levels, count = [a.beta[None, :, None]], 0
-        while len(levels) <= m or max(n, 1) * (count + k ** len(levels)) <= _COVECTOR_WORK:
+        while len(levels) <= m or (
+            len(levels) <= _COVECTOR_LEVELS and max(n, 1) * (count + k ** len(levels)) <= _COVECTOR_WORK
+        ):
             levels.append(extend_products(stack_t, levels[-1]))
             count += len(levels[-1])
         covectors = np.concatenate([level[:, :, 0] for level in levels[1:]])
@@ -415,8 +427,13 @@ def seminorm_interval(
         return CertifiedInterval(0.0, 0.0, gamma, 0, 0, ())
     if node_bound is None and params is None:
         params = compute_tail_params(a, gamma)
-    stack, symbols = a.trans_stack(), a.alphabet
-    k = len(symbols)
+    symbols = a.alphabet
+    k, n = len(symbols), a.dim
+    # A node's k children are one product with the (k*n, n) stack of the tau_s,
+    # written into an owning (k, n) array so that the heap keeps no views.
+    # concatenate keeps the tau_s' memory layout (by rows or by columns), and
+    # with it the BLAS kernel that tau_s @ u runs.
+    stack_rows, child_shape = np.concatenate([a.trans[s] for s in symbols]), (k, n)
     heappush, heappop = heapq.heappush, heapq.heappop
     # best is the (length, word index) of the witness
     lower, best, upper, nodes_expanded = -math.inf, (0, 0), math.inf, 0
@@ -466,7 +483,8 @@ def seminorm_interval(
             gpow = gpows[d]
             if d + 1 == len(gpows):
                 gpows.append(gpow * gamma)
-            children = stack @ states[row]
+            children = np.empty(child_shape)
+            np.dot(stack_rows, states[row], children.reshape(k * n))
             child_d, base = d + 1, idx * k
             nodes_expanded += 1
     witness = _decode_word(*best, symbols)

@@ -5,6 +5,7 @@ import pytest
 
 from wfametrics import (
     Wfa,
+    admissible_gamma_bound,
     hausdorff_distance,
     is_irreducible,
     jsr_bounds,
@@ -14,6 +15,7 @@ from wfametrics import (
     with_final,
     with_initial,
 )
+from wfametrics import jsr
 from wfametrics.jsr import DEFAULT_NODE_BUDGET, extend_products
 from wfametrics.linalg import spectral_norm, spectral_norms, spectral_radii
 from conftest import random_stochastic, random_wfa
@@ -93,6 +95,51 @@ def assert_matches_full_enumeration(mats, depth, node_budget=DEFAULT_NODE_BUDGET
     b = jsr_bounds(mats, depth, node_budget)
     assert (b.lower, b.upper, b.witness, b.truncated) == full_enumeration_bounds(
         mats, depth, node_budget)
+
+
+def _jordan(n, lam):
+    return lam * np.eye(n) + np.eye(n, k=1)
+
+
+def _power_cap_families():
+    """Families whose radii sit far below every cheap cap: the power cap decides what is solved.
+
+    Nilpotent and nearly nilpotent products are where an eigen solve returns
+    radii of order ``eps^(1/n)`` that the cap must still cover; the scaled
+    families have products whose fourth powers underflow or overflow.
+    """
+    rng = np.random.default_rng(71)
+    families = {}
+    for n in range(2, 7):
+        families[f"jordan-n{n}"] = [_jordan(n, 0.0), _jordan(n, 0.9)]
+        families[f"jordan-and-transpose-n{n}"] = [_jordan(n, 0.5), _jordan(n, 0.5).T]
+        families[f"strictly-triangular-n{n}"] = [
+            np.triu(rng.standard_normal((n, n)), 1) + 1e-12 * rng.standard_normal((n, n))
+            for _ in range(2)]
+        pair = []
+        for _ in range(2):
+            x, y = rng.standard_normal(n), rng.standard_normal(n)
+            y -= (y @ x) / (x @ x) * x  # y . x is roundoff: x y^T is nearly nilpotent
+            pair.append(np.outer(x, y))
+        families[f"rank-one-n{n}"] = pair
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        families[f"rotated-jordan-n{n}"] = [q @ _jordan(n, 0.0) @ q.T]
+    # a rotation of 1.53 N with N the nilpotent 4-by-4 Jordan block: at length
+    # 2 the eigen solve's radius, roundoff of order eps^(1/4), is above
+    # ||fl(P^4)||_F^(1/4) and needs the cap's slack
+    families["rotated-jordan-n4-slack"] = [np.array([float.fromhex(h) for h in (
+        "-0x1.c5a5674af51efp-2", "-0x1.d58a307d7e3fdp-2", "-0x1.98249571ae0ecp-1", "-0x1.527dc95145b96p-1",
+        "-0x1.5d0bdea0abb40p-4", "-0x1.8e6d2ff5bfa88p-2", "0x1.339e8c6f444a4p-1", "-0x1.38604fe1c86f5p+0",
+        "0x1.f0b40d957aa98p-1", "-0x1.6209b74d9d27ap-2", "0x1.6d93ad6e2f18bp-1", "-0x1.c0f128ea660f8p-6",
+        "0x1.a305a1b634893p-1", "-0x1.ae94f01514ddcp-1", "-0x1.8b677e8ca5853p-1", "0x1.e3acf1915a583p-4",
+    )]).reshape(4, 4)]
+    shift = np.array([[0.0, 2.0], [0.0, 0.0]])
+    families["tiny"] = [1e-80 * shift, 1e-80 * shift.T, 1e-81 * np.diag([1.0, 0.0])]
+    families["huge"] = [1e37 * _jordan(2, 1.0), 1e37 * _jordan(2, 1.0).T]
+    return families
+
+
+POWER_CAP_FAMILIES = _power_cap_families()
 
 
 class TestJsrBounds:
@@ -231,6 +278,27 @@ class TestJsrBounds:
         for depth in (1, 4, 7):
             assert_matches_full_enumeration(mats, depth)
             assert_matches_full_enumeration(mats, depth, node_budget=2)
+
+
+    @pytest.mark.parametrize("name", sorted(POWER_CAP_FAMILIES))
+    def test_power_cap_keeps_every_radius_that_can_move_the_bracket(self, name):
+        for depth in range(1, 9):
+            assert_matches_full_enumeration(POWER_CAP_FAMILIES[name], depth)
+            assert_matches_full_enumeration(POWER_CAP_FAMILIES[name], depth, node_budget=3)
+
+    def test_power_cap_skips_most_eigen_solves(self, monkeypatch):
+        # a random 25-state pair: every cheap cap stays above every radius
+        a = random_wfa(np.random.default_rng(7), n=25, norm_cap=0.9)
+        solved = []
+
+        def counting_radii(mats):
+            solved.append(len(mats))
+            return spectral_radii(mats)
+
+        monkeypatch.setattr(jsr, "spectral_radii", counting_radii)
+        admissible_gamma_bound(a, depth=8)
+        assert sum(solved) <= 510 // 4
+        assert_matches_full_enumeration(a.trans_stack(), 8)
 
 
 class TestWfaSpectralRadius:

@@ -128,11 +128,19 @@ class TestTailParams:
     def test_matches_from_scratch_reference(self, case, monkeypatch):
         a, gamma, depth, cap, expected = TAIL_CASES[case]
         monkeypatch.setattr(metric, "_PRODUCT_CAP", cap)
+        balanced = []
+
+        def counting_balance(mats):
+            balanced.append(mats)
+            return balance_scaling(mats)
+
+        monkeypatch.setattr(metric, "balance_scaling", counting_balance)
         ref = reference_tail_params(a, gamma, depth, cap)
         if expected == "raises":
             assert ref is None
             with pytest.raises(CannotCertifyError):
                 compute_tail_params(a, gamma, depth)
+            assert len(balanced) == 1
             return
         params = compute_tail_params(a, gamma, depth)
         theta, block_len, step_norm, scaling = ref
@@ -141,6 +149,8 @@ class TestTailParams:
         assert params.step_norm == step_norm
         assert np.array_equal(params.scaling, scaling)
         assert (block_len, not np.array_equal(scaling, np.eye(a.dim))) == expected
+        # balancing is computed only when the identity's levels certify nothing
+        assert len(balanced) == expected[1]
 
     def test_overflowing_level_does_not_certify(self):
         # level 2 holds 1e400 = inf; its norm once read as theta = 0 and certified
@@ -555,6 +565,15 @@ class TestCovectorBound:
         assert data.count == 2046 and len(data.level_starts) == 10
         long_block = metric.TailBoundParams(params.theta, params.scaling, 12, params.step_norm)
         assert len(_BoundData(a, 0.5, long_block, None).level_starts) == 12
+
+    def test_one_letter_levels_capped_but_at_least_the_block_length(self):
+        # k = 1 keeps n * N within the work cap for 8,192 / n levels; 64 is the most
+        a = one_state(0.9)
+        params = compute_tail_params(a, 0.5)
+        data = _BoundData(a, 0.5, params, None)
+        assert data.count == len(data.level_starts) == 64
+        long_block = metric.TailBoundParams(params.theta, params.scaling, 70, params.step_norm)
+        assert len(_BoundData(a, 0.5, long_block, None).level_starts) == 70
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(n=st.integers(1, 5), k=st.integers(1, 3),

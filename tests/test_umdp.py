@@ -352,7 +352,8 @@ class TestAlphaVectorBound:
 
 def prefix_search(a, gamma, bound, eps, budget):
     """The sup search with tuple words and prefix lower bounds only: the loop before lassos."""
-    stack = a.trans_stack()
+    # children as seminorm_interval forms them: one product with the (k*n, n) stack
+    stack_rows = np.concatenate([a.trans[s] for s in a.alphabet])
     bvals, rems, _ = bound.children(a.alpha[None])
     lower = bvals[0]
     upper = lower + rems[0]
@@ -363,7 +364,7 @@ def prefix_search(a, gamma, bound, eps, budget):
         upper = min(upper, -neg_u)
         if upper - lower <= eps:
             break
-        children = stack @ state
+        children = (stack_rows @ state).reshape(len(a.alphabet), a.dim)
         bvals, rems, _ = bound.children(children)
         for i, sym in enumerate(a.alphabet):
             child_p = partial + gpow * bvals[i]
