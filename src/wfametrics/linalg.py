@@ -43,9 +43,13 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive, got {tol}")
 
 
-def rank_of(sv: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Numerical rank from descending singular values: how many exceed ``tol * sv[0]``."""
-    return int(np.sum(sv > tol * sv[0]))
+def rank_of(sv: np.ndarray, tol: float = DEFAULT_TOL, top: float | None = None) -> int:
+    """Numerical rank from descending singular values: how many exceed ``tol * top``.
+
+    ``top`` is the largest singular value of the matrix the rank is decided
+    for, or a cap on it; it defaults to ``sv[0]``.
+    """
+    return int(np.sum(sv > tol * (sv[0] if top is None else top)))
 
 
 def numerical_rank(mat: np.ndarray, tol: float = DEFAULT_TOL) -> int:

@@ -11,10 +11,11 @@ from wfametrics import (
     largest_bisimulation,
     minimize,
     reachable_subspace,
+    reverse,
     states_bisimilar,
     with_initial,
 )
-from wfametrics.linalg import null_basis
+from wfametrics.linalg import null_basis, orth_basis
 from conftest import all_words, duplicated_copy, random_wfa
 
 
@@ -52,6 +53,53 @@ def fixed_point_bisimulation(a, tol=1e-9):
             return new_basis
         basis = new_basis
     return basis
+
+
+def full_svd_closure(a, tol=1e-9):
+    """Reference reachable subspace: each round one SVD of ``[Q | T[s] Q for every s]``."""
+    n = a.dim
+    basis = orth_basis(a.alpha.reshape(n, 1), tol)
+    mats = [a.trans[s] for s in a.alphabet]
+    while 0 < basis.shape[1] < n:
+        rank = basis.shape[1]
+        basis = orth_basis(np.hstack([basis] + [m @ basis for m in mats]), tol)
+        if basis.shape[1] == rank:
+            break
+    return basis
+
+
+def closure_sweep_family(rng, kind):
+    """A seeded automaton of up to 50 states: generic, a duplicated copy, or one symbol."""
+    n = int(rng.integers(2, 51))
+    if kind == "random":
+        return random_wfa(rng, n=n, alphabet=("a", "b", "c")[: int(rng.integers(1, 4))])
+    if kind == "duplicated":
+        return duplicated_copy(random_wfa(rng, n=max(n // 2, 1)))
+    return random_wfa(rng, n=n, alphabet=("a",))
+
+
+def hidden_reachable_family(rng, scale_exp):
+    """Block upper-triangular transitions with ``alpha`` in the invariant block, hidden by a rotation.
+
+    Entries carry independent factors 10^U(-s, s).  Returns the automaton and
+    the invariant block's dimension ``r``, which is its reachable dimension.
+    """
+    n = int(rng.integers(2, 9))
+    alphabet = ("a", "b", "c")[: int(rng.integers(1, 4))]
+
+    def scaled(shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-scale_exp, scale_exp, shape)
+
+    r = int(rng.integers(1, n))
+    trans = {s: scaled((n, n)) for s in alphabet}
+    for m in trans.values():
+        m[r:, :r] = 0.0
+    alpha = scaled(n)
+    alpha[r:] = 0.0
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = Wfa(alphabet=alphabet, alpha=q @ alpha, beta=scaled(n),
+            trans={s: q @ m @ q.T for s, m in trans.items()})
+    return a, r
 
 
 def scaled_family(rng, kind, scale_exp):
@@ -219,6 +267,54 @@ class TestReachableSubspace:
         for seed in range(10):
             a = random_wfa(np.random.default_rng([n, seed]), n=n, alphabet=("a",), norm_cap=0.9)
             assert reachable_subspace(a).dim == n
+
+    @pytest.mark.parametrize("kind", ["random", "duplicated", "one-symbol"])
+    def test_same_dimension_as_full_svd_closure(self, kind):
+        for seed in range(30):
+            a = closure_sweep_family(np.random.default_rng([len(kind), seed]), kind)
+            for b in (a, reverse(a)):
+                ref = full_svd_closure(b)
+                sub = reachable_subspace(b)
+                assert sub.dim == ref.shape[1]
+                assert np.max(np.abs(sub.projector() - ref @ ref.T)) <= 1e-6
+
+    def test_hidden_invariant_block_is_found_exactly(self):
+        for seed in range(300):
+            a, r = hidden_reachable_family(np.random.default_rng([17, seed]), 2)
+            assert reachable_subspace(a).dim == r
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_svds_factor_each_direction_once(self, monkeypatch, k):
+        # the full-SVD closure factors [Q | T Q] every round: about n^2 columns
+        # in all for one symbol, 2,550 at n = 50
+        n = 50
+        a = random_wfa(np.random.default_rng([n, k]), n=n, alphabet=("a", "b")[:k])
+        columns = []
+        svd = np.linalg.svd
+
+        def counting_svd(mat, *args, **kwargs):
+            columns.append(np.shape(mat)[-1])
+            return svd(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert reachable_subspace(a).dim == n
+        assert sum(columns) <= k * n + 1
+
+    def test_deterministic_with_fixed_signs(self, rng):
+        for a in (random_wfa(rng, n=7), duplicated_copy(random_wfa(rng, n=4)),
+                  random_wfa(rng, n=30, alphabet=("a",))):
+            first, second = reachable_subspace(a).basis, reachable_subspace(a).basis
+            assert first.tobytes() == second.tobytes()
+            top = first[np.argmax(np.abs(first), axis=0), np.arange(first.shape[1])]
+            assert np.all(top > 0)
+
+    @pytest.mark.parametrize("tol", [1e-14, 1e-17, 1e-300])
+    def test_tol_below_roundoff_keeps_an_orthonormal_basis(self, tol):
+        # directions admitted at roundoff lean on the basis; Subspace rejects
+        # a basis that is not orthonormal
+        for seed in range(10):
+            a = duplicated_copy(random_wfa(np.random.default_rng([3, seed]), n=10))
+            assert reachable_subspace(a, tol).dim <= a.dim
 
     def test_block_diagonal_first_block(self, rng):
         a = random_wfa(rng, n=2)
