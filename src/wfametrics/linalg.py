@@ -3,8 +3,8 @@
 All rank/kernel decisions in this package go through these functions so that
 one tolerance policy applies everywhere: singular values at or below
 ``tol * largest_singular_value`` count as zero.  Singular-vector signs are
-fixed deterministically (largest-magnitude entry positive) so repeated runs
-return bit-identical bases.
+fixed deterministically (the first entry of largest magnitude, up to
+:data:`CAP_SLACK`, positive) so repeated runs return bit-identical bases.
 """
 
 from __future__ import annotations
@@ -23,12 +23,16 @@ CAP_SLACK = 1e-9
 def sign_flips(basis: np.ndarray) -> np.ndarray:
     """Per-column factor, +1 or -1, that makes the largest-magnitude entry positive.
 
-    The first of several equal magnitudes decides; a basis with no rows gets +1.
+    The first entry within :data:`CAP_SLACK` of the largest magnitude decides,
+    so a tie up to rounding (a ``(v, -v)`` column) cannot swap the sign.  A
+    basis with no rows gets +1.
     """
     basis = np.asarray(basis, dtype=float)
     if basis.shape[0] == 0:
         return np.ones(basis.shape[1])
-    top = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    mags = np.abs(basis)
+    first = np.argmax(mags >= np.max(mags, axis=0) * (1.0 - CAP_SLACK), axis=0)
+    top = basis[first, np.arange(basis.shape[1])]
     return np.where(top < 0, -1.0, 1.0)
 
 

@@ -15,18 +15,7 @@ Tail bounds
 All bounds live in a working norm ``|v|_S = ||S v||_2`` for a well-conditioned
 scaling ``S``.  :func:`compute_tail_params` certifies a block growth rate:
 ``theta = (max over words x of length m of |tau_x|_S)^(1/m)`` with
-``gamma * theta < 1``, plus the single-step cap ``K = max(1, max_s |tau_s|_S)``.
-Splitting any word of length ``j = q*m + r`` into ``q`` full blocks and ``r``
-leftover steps gives the growth chain
-
-    |tau_x u|_S <= c_j |u|_S,   c_j = theta^(q*m) * K^r,
-
-whose discounted sum is the closed form
-
-    G = sum_j gamma^j c_j = (sum_{r<m} (gamma*K)^r) / (1 - (gamma*theta)^m).
-
-The node bound below uses ``theta`` for its tail and ``G`` only for the
-residuals of the bisimulation kernel.
+``gamma * theta < 1``.  The node bound below uses ``theta`` for its tail.
 
 Node bound
 ----------
@@ -69,43 +58,50 @@ with ``d_j = max_{|x|=j} ||S^-T c_x||_2``, the largest dual norm on level
 ``j``, and ``J >= m``.  The tail holds because putting a block of ``m``
 symbols in front of a word multiplies its covector by a block product's
 transpose, so ``d_{j+m} <= theta^m d_j``: each level past ``J`` is bounded by
-one of the last ``m`` levels, ``(gamma*theta)^m`` smaller per block.  For the
-same certificate every term is at most the matching term of the chain bound
-``|beta|_S* (G-1) |u|_S``, as ``d_j <= |beta|_S* c_j``; the head sees the
-direction of ``u`` where the chain sees only its size.  The ``N`` covectors
-are formed once per search by :func:`~wfametrics.jsr.extend_products` on
-the transposed stack, as ``gamma^j c_x``, whose norms fall by
-``(gamma*theta)^m`` per block and so do not overflow past level ``m``.
-``J`` is the most levels, up to 64, that keep ``n * N`` within 8,192, but
-at least ``m``.  A call of ``children`` is one product of its rows with an
-``n``-row matrix (the covectors, then ``S`` and ``S P_W`` for the norms), a
-maximum per level and a norm per row.
+one of the last ``m`` levels, ``(gamma*theta)^m`` smaller per block.  The
+``N`` covectors are formed once per search by
+:func:`~wfametrics.jsr.extend_products` on the transposed stack, as
+``gamma^j c_x``, whose norms fall by ``(gamma*theta)^m`` per block and so do
+not overflow past level ``m``.  ``J`` is the most levels, up to 64, that
+keep ``n * N`` within 8,192, but at least ``m``.
 
 Let ``W`` be the largest bisimulation subspace and ``P_W`` its orthogonal
-projector.  For an exact ``W`` every trajectory started inside ``W`` stays in
-``ker(beta)``, so ``R(u) = R((I-P_W)u)``: the bound above is applied to
-``y = (I-P_W)u``, which lets equivalent automata close to width ~0 at the
-root.  With ``W = {0}``, ``y = u``.
+projector.  Only the tail needs ``W``: as ``c_x . u = c_x . (I-P_W)u +
+(P_W c_x) . P_W u``, it is ``tau |(I-P_W)u|_S + tau_W |P_W u|_S``, and for an
+exact ``W`` (orthogonal to every ``c_x``) equivalent automata close to width
+~0 at the root.  Splitting ``P_W c_{bx}`` for a block ``b`` of ``m`` symbols
+along ``P_W`` and ``I-P_W`` gives ``e_{j+m} <= A e_j + delta d_j`` for
+``e_j = max_{|x|=j} ||S^-T P_W c_x||_2``, and summed over the blocks past
+``J`` that gives, if ``a = gamma^m A < 1``,
 
-The subspace is computed numerically, so two residuals enter: ``r_beta``
-(how far ``W`` sticks out of ``ker beta``) and ``delta_W`` (how far ``tau_s``
-maps unit vectors of ``W`` outside ``W``), both measured in the working norm.
-``R`` is subadditive, ``R(u) <= R(y) + R(P_W u)``, and telescoping the escaped
-mass gives, to first order in the residuals,
+    A = max_b ||S^-T P_W T_b^T P_W S^T||,  delta = max_b ||S^-T P_W T_b^T (I-P_W) S^T||,
+    tau_W = (a E + gamma^m delta D / (1 - (gamma*theta)^m)) / (1 - a),
 
-    R(P_W u) <= C_P (r_beta G + gamma delta_W |beta|_S* G^2) |P_W u|_S
-
-with ``C_P = |P_W|_S``.  Second-order residual terms are neglected; with
-SVD-clean subspaces the residuals are ~1e-12 relative, far below the interval
-resolutions used anywhere in this package.  ``W`` is computed by
-:func:`~wfametrics.bisim.largest_bisimulation` at its default ``tol``; when it
-is trivial there are no residual terms.
+with ``E`` and ``D`` the sums of ``gamma^j e_j`` and ``gamma^j d_j`` over the
+last ``m`` levels.  Nothing is neglected, so this holds however roughly
+``W`` was computed (by :func:`~wfametrics.bisim.largest_bisimulation` at its
+default ``tol``).  If ``a >= 1`` the bound takes ``W = {0}``.
 
 Node ordering is best-first by node upper bound, ties broken by depth and
 then by the word's base-k index (its symbols' positions in the sorted
 alphabet read as base-k digits, first symbol most significant).  At equal
 depth index order is lexicographic order, so among tied words the smallest
 is expanded first and single-threaded runs are bit-identical.
+
+Rounding
+--------
+``upper``, the least popped bound, is rounded outward once, after the search.
+A node bound is built by sums and products of nonnegative floats.  If ``x``
+and ``y`` are within ``(1-r)^a`` and ``(1-r)^b`` below exact (``r = 2^-53``),
+``x + y`` is within ``(1-r)^(max(a,b)+1)`` and ``x y`` within ``(1-r)^(a+b+1)``.
+At depth ``d``, ``gamma^d`` takes ``d - 1`` roundings, ``P(y)`` ``d + 1``, the
+generic ``R`` ``J + n + 3`` (``J`` head levels summed, norms of ``n`` squares
+scaled and added) and the node bound ``p = d + J + n + 4``, so the exact value
+is below ``1 + 2pr`` times it.  Widening by ``(p + 1) 2^-52`` covers that and
+its own two roundings, with ``d = depth_explored`` and ``J = max(64, m)``, or
+64 for a ``node_bound`` passed in (the UMDP bound is an ``n``-term product);
+``converged`` is judged before it.  Not counted: the products ``c_x . u`` and
+``tau_s u``, which can cancel, are exact only to f64 roundoff, as the states.
 """
 
 from __future__ import annotations
@@ -165,8 +161,8 @@ class TailBoundParams:
     """Certified growth data for geometric tail bounds.
 
     ``theta`` is the certified per-step rate over ``block_len``-step blocks in
-    the working norm ``|v|_S = ||scaling @ v||_2``; ``step_norm`` is the
-    single-step cap ``K`` (at least 1).
+    the working norm ``|v|_S = ||scaling @ v||_2``; ``step_norm``, the
+    single-step cap ``max(1, max_s |tau_s|_S)``, is used by no bound.
     """
 
     theta: float
@@ -332,7 +328,7 @@ class NodeBound(Protocol):
 
 
 class _BoundData:
-    """The generic node bound: covector head, geometric tail and kernel residual.
+    """The generic node bound: covector head and geometric tail, split by the kernel.
 
     See "Node bound" in the module docstring.
     """
@@ -343,10 +339,10 @@ class _BoundData:
         gtm = (gamma * theta) ** m
         if gtm >= 1.0:
             raise CannotCertifyError(f"tail series diverges: (gamma*theta)^m = {gtm}")
-        s_mat = params.scaling
+        s_mat, stack = params.scaling, a.trans_stack()
         s_inv = np.linalg.inv(s_mat)
         # levels[j] holds gamma^j c_x for the words x of length j = 0..J
-        stack_t = gamma * a.trans_stack().transpose(0, 2, 1)
+        stack_t = gamma * stack.transpose(0, 2, 1)
         levels, count = [a.beta[None, :, None]], 0
         while len(levels) <= m or (
             len(levels) <= _COVECTOR_LEVELS and max(n, 1) * (count + k ** len(levels)) <= _COVECTOR_WORK
@@ -354,34 +350,31 @@ class _BoundData:
             levels.append(extend_products(stack_t, levels[-1]))
             count += len(levels[-1])
         covectors = np.concatenate([level[:, :, 0] for level in levels[1:]])
-        tail = sum(float(np.max(np.linalg.norm(level[:, :, 0] @ s_inv, axis=1))) for level in levels[-m:])
+        last = [level[:, :, 0] for level in levels[-m:]]
+        tail = sum(float(np.max(np.linalg.norm(rows @ s_inv, axis=1))) for rows in last)
         tau = tail * gtm / (1.0 - gtm)
-        if kernel is None or kernel.dim == 0:
-            maps, coeffs = [s_mat], [tau]
-        else:
-            basis = kernel.basis
+        maps, coeffs = [s_mat], [tau]
+        if kernel is not None and kernel.dim:
             proj = kernel.projector()
-            perp = np.eye(n) - proj
-            covectors = covectors @ perp  # c_x . (I - P_W) u
-            beta_dual = float(np.linalg.norm(s_inv.T @ a.beta))
-            sb_pinv = np.linalg.pinv(s_mat @ basis)
-            r_beta = float(np.linalg.norm(sb_pinv.T @ (basis.T @ a.beta)))
-            delta_w = max(
-                float(spectral_norm(s_mat @ perp @ a.trans[sym] @ basis @ sb_pinv))
-                for sym in a.alphabet
-            )
-            c_proj = float(spectral_norm(s_mat @ proj @ s_inv))
-            g = sum((gamma * params.step_norm) ** r for r in range(m)) / (1.0 - gtm)  # the chain sum G
-            resid_coeff = c_proj * (r_beta * g + gamma * delta_w * beta_dual * g * g)
-            maps, coeffs = [s_mat @ perp, s_mat @ proj], [tau, resid_coeff]
+            in_w, out_w = s_mat @ proj, s_mat @ (np.eye(n) - proj)
+            # T_b P_W S^-1 for the k^m blocks b; |S X T_b P_W S^-1| = |S^-T P_W T_b^T X S^T|
+            into_w = (proj @ s_inv)[None]
+            for _ in range(m):
+                into_w = extend_products(stack, into_w)
+            rate = gamma**m * max_spectral_norm(in_w @ into_w)  # gamma^m A
+            if rate < 1.0:  # else W = {0}
+                escape = max_spectral_norm(out_w @ into_w)  # delta
+                e_sum = sum(float(np.max(np.linalg.norm(rows @ proj @ s_inv, axis=1))) for rows in last)
+                tau_w = (rate * e_sum + gamma**m * escape * tail / (1.0 - gtm)) / (1.0 - rate)
+                maps, coeffs = [out_w, in_w], [tau, tau_w]
         self.beta, self.count = a.beta, count
         self.level_starts = np.cumsum([0] + [len(level) for level in levels[1:-1]])
         self.cols = np.hstack([covectors.T] + [mat.T for mat in maps])
         self.norm_starts, self.norm_coeffs = n * np.arange(len(maps)), np.array(coeffs)
 
     def children(self, states: np.ndarray) -> tuple[list[float], list[float], None]:
-        # One product gives, for each row u, every |gamma^j c_x . y|, then |S y| and
-        # |S P_W u| entrywise (their squares are all the norms need).
+        # One product gives, for each row u, every |gamma^j c_x . u|, then S (I-P_W) u
+        # and S P_W u (or S u) entrywise (their squares are all the norms need).
         out = np.abs(states.dot(self.cols))
         heads = np.maximum.reduceat(out[:, :self.count], self.level_starts, axis=1)
         norms = np.sqrt(np.add.reduceat(np.square(out[:, self.count:]), self.norm_starts, axis=1))
@@ -496,15 +489,18 @@ def seminorm_interval(
         value = discounted_sum(with_initial(a, v), word, gamma)
         if value > lower:
             lower, witness = value, word
-    upper = max(upper, lower)
+    upper, depth = max(upper, lower), len(gpows) - 1
+    converged = upper - lower <= eps  # judged before the outward rounding, as the loop judges it
+    head_levels = max(_COVECTOR_LEVELS, 0 if params is None else params.block_len)
+    upper += upper * ((depth + head_levels + n + 5) * math.ulp(1.0))  # see "Rounding"
     return CertifiedInterval(
         lower=lower,
         upper=upper,
         gamma=gamma,
-        depth_explored=len(gpows) - 1,
+        depth_explored=depth,
         nodes_expanded=nodes_expanded,
         witness_prefix=witness,
-        converged=(upper - lower) <= eps,
+        converged=converged,
     )
 
 

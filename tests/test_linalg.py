@@ -3,6 +3,7 @@ import pytest
 
 from wfametrics import Wfa, bisim, hankel_from_wfa, jsr, learn
 from wfametrics.linalg import (
+    CAP_SLACK,
     DEFAULT_TOL,
     fix_signs,
     max_spectral_norm,
@@ -51,13 +52,15 @@ class TestNullBasis:
 
 
 def loop_fix_signs(basis):
-    """Column-by-column sign rule: negate a column whose first largest-magnitude entry is negative."""
+    """Column-by-column sign rule: negate a column whose first entry within
+    ``CAP_SLACK`` of the largest magnitude is negative."""
     basis = np.array(basis, dtype=float, copy=True)
     for j in range(basis.shape[1]):
         col = basis[:, j]
         if col.shape[0] == 0:
             continue
-        i = int(np.argmax(np.abs(col)))
+        top = max(abs(x) for x in col)
+        i = next(i for i, x in enumerate(col) if abs(x) >= top * (1.0 - CAP_SLACK))
         if col[i] < 0:
             basis[:, j] = -col
     return basis
@@ -86,6 +89,15 @@ class TestSignFlips:
 
     def test_tie_and_negative_maximum(self):
         np.testing.assert_array_equal(sign_flips(np.array([[-2.0, 1.0], [2.0, -3.0]])), [-1.0, -1.0])
+
+    @pytest.mark.parametrize("x", [0.3, 1.0, 7.0 / 3.0, 1e-200])
+    def test_twin_magnitudes_one_ulp_apart_keep_the_exact_twins_sign(self, x):
+        # a (v, -v) column whose entries rounding moved 1 ulp apart: the first entry still decides
+        for first in (x, -x):
+            twin = sign_flips(np.array([[first], [-first]]))
+            assert twin == np.sign(first)
+            for second in (np.nextafter(-first, np.inf), np.nextafter(-first, -np.inf)):
+                assert sign_flips(np.array([[first], [second]])) == twin
 
 
 class TestMaxSpectralNorm:

@@ -378,8 +378,11 @@ def prefix_search(a, gamma, bound, eps, budget):
         if heap:
             upper = min(upper, -heap[0][0])
     upper = max(upper, lower)
+    converged = (upper - lower) <= eps
+    # the outward rounding of "Rounding" in the metric module docstring, for a bound passed in
+    upper += upper * ((depth_explored + 64 + a.dim + 5) * 2.0**-52)
     return CertifiedInterval(lower, upper, gamma, depth_explored, nodes_expanded, witness,
-                             converged=(upper - lower) <= eps)
+                             converged=converged)
 
 
 class TestLassoLowerBound:
