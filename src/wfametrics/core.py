@@ -67,6 +67,16 @@ def checked_array(value, name: str, shape: tuple[int | None, ...]) -> np.ndarray
     return arr
 
 
+def check_budget(budget, least: int, name: str = "budget") -> None:
+    """Reject a node budget that is not an integer of at least ``least`` (NaN and inf included).
+
+    A search stops when its count of nodes or products reaches the budget, so
+    a budget that no count can equal would run unbounded.
+    """
+    if not (least <= budget < np.inf and budget % 1 == 0):
+        raise ValueError(f"{name} must be an integer of at least {least}, got {budget}")
+
+
 def checked_symbols(symbols: Iterable[str], name: str) -> tuple[str, ...]:
     """``symbols`` in sorted order; a ``ValueError`` names ``name`` if it is empty or repeats a symbol."""
     symbols = tuple(symbols)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Wfa
+from .core import Wfa, check_budget
 from .linalg import (
     CAP_SLACK,
     DEFAULT_TOL,
@@ -137,15 +137,15 @@ def jsr_bounds(
     would exceed ``node_budget`` products it is pruned to the largest-norm
     ``node_budget`` of them; the result is then flagged ``truncated`` and
     the upper bound stops improving, but both bounds remain valid.  Raises
-    ``ValueError`` for a non-finite matrix, ``node_budget < 1``, or a
-    product level that overflows floating point.
+    ``ValueError`` for a non-finite matrix, a ``node_budget`` that is not an
+    integer of at least 1 (NaN and inf included), or a product level that
+    overflows floating point.
     """
     gens = _as_square_stack(mats)
     k, n, _ = gens.shape
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if node_budget < 1:
-        raise ValueError("node_budget must be at least 1")
+    check_budget(node_budget, 1, "node_budget")
     if symbols is None:
         width = len(str(k - 1))
         symbols = tuple(str(i).zfill(width) for i in range(k))
@@ -206,7 +206,7 @@ def jsr_bounds(
 
         if prune:
             # rows are in word order, so a stable sort breaks ties by word
-            keep = np.sort(np.argsort(-norms, kind="stable")[:node_budget])
+            keep = np.sort(np.argsort(-norms, kind="stable")[:int(node_budget)])
             prods = prods[keep]
             truncated = True
         kept.append(keep if prune else None)

@@ -65,22 +65,24 @@ one of the last ``m`` levels, ``(gamma*theta)^m`` smaller per block.  The
 not overflow past level ``m``.  ``J`` is the most levels, up to 64, that
 keep ``n * N`` within 8,192, but at least ``m``.
 
-Let ``W`` be the largest bisimulation subspace and ``P_W`` its orthogonal
-projector.  Only the tail needs ``W``: as ``c_x . u = c_x . (I-P_W)u +
-(P_W c_x) . P_W u``, it is ``tau |(I-P_W)u|_S + tau_W |P_W u|_S``, and for an
-exact ``W`` (orthogonal to every ``c_x``) equivalent automata close to width
-~0 at the root.  Splitting ``P_W c_{bx}`` for a block ``b`` of ``m`` symbols
-along ``P_W`` and ``I-P_W`` gives ``e_{j+m} <= A e_j + delta d_j`` for
-``e_j = max_{|x|=j} ||S^-T P_W c_x||_2``, and summed over the blocks past
-``J`` that gives, if ``a = gamma^m A < 1``,
+Let ``W`` be the largest bisimulation subspace, ``C`` the Q factor of ``S``
+times ``W``'s basis and ``Q = S^-1 C C^T S`` the projector onto ``W`` that is
+orthogonal in the working norm.  Only the tail needs ``W``: as ``c_x . u =
+c_x . (I-Q)u + (C^T S^-T c_x) . (C^T S u)``, it is ``tau |(I-Q)u|_S + tau_W
+||C^T S u||_2``, and for an exact ``W`` (orthogonal to every ``c_x``)
+equivalent automata close to width ~0 at the root.  A block ``b`` of ``m``
+symbols maps ``S^-T c_x`` by ``M_b^T``, ``M_b = S T_b S^-1``, and both
+``C C^T`` and ``I - C C^T`` have norm at most 1, so ``||C^T M_b^T C|| <=
+theta^m`` and, for ``e_j = max_{|x|=j} ||C^T S^-T c_x||_2``,
 
-    A = max_b ||S^-T P_W T_b^T P_W S^T||,  delta = max_b ||S^-T P_W T_b^T (I-P_W) S^T||,
-    tau_W = (a E + gamma^m delta D / (1 - (gamma*theta)^m)) / (1 - a),
+    e_{j+m} <= theta^m e_j + delta d_j,  delta = max_b ||(S - C C^T S) T_b S^-1 C||,
+    tau_W = ((gamma*theta)^m E + gamma^m delta D / (1 - (gamma*theta)^m)) / (1 - (gamma*theta)^m),
 
-with ``E`` and ``D`` the sums of ``gamma^j e_j`` and ``gamma^j d_j`` over the
-last ``m`` levels.  Nothing is neglected, so this holds however roughly
+summed over the blocks past ``J``, with ``E`` and ``D`` the sums of
+``gamma^j e_j`` and ``gamma^j d_j`` over the last ``m`` levels.  This holds
+for every certificate, and nothing is neglected, so it holds however roughly
 ``W`` was computed (by :func:`~wfametrics.bisim.largest_bisimulation` at its
-default ``tol``).  If ``a >= 1`` the bound takes ``W = {0}``.
+default ``tol``).
 
 Node ordering is best-first by node upper bound, ties broken by depth and
 then by the word's base-k index (its symbols' positions in the sorted
@@ -114,7 +116,7 @@ from typing import Protocol
 import numpy as np
 
 from .bisim import Subspace, largest_bisimulation
-from .core import Wfa, checked_array, difference, discounted_sum, with_initial
+from .core import Wfa, check_budget, checked_array, difference, discounted_sum, with_initial
 from .jsr import _as_square_stack, _decode_word, extend_products, wfa_spectral_radius
 from .linalg import max_spectral_norm, spectral_norm
 
@@ -131,12 +133,6 @@ def _check_gamma(gamma: float) -> None:
     """Reject a discount that is not a positive finite number (NaN included)."""
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-
-
-def _check_budget(budget) -> None:
-    """Reject a node budget that is not a non-negative integer (NaN included)."""
-    if not (0 <= budget < math.inf and budget % 1 == 0):  # else nodes_expanded never equals it
-        raise ValueError(f"budget must be a non-negative integer, got {budget}")
 
 
 def _checked_scales(scales) -> list[float]:
@@ -350,31 +346,30 @@ class _BoundData:
             levels.append(extend_products(stack_t, levels[-1]))
             count += len(levels[-1])
         covectors = np.concatenate([level[:, :, 0] for level in levels[1:]])
-        last = [level[:, :, 0] for level in levels[-m:]]
-        tail = sum(float(np.max(np.linalg.norm(rows @ s_inv, axis=1))) for rows in last)
+        duals = [level[:, :, 0] @ s_inv for level in levels[-m:]]  # rows gamma^j S^-T c_x
+        tail = sum(float(np.max(np.linalg.norm(rows, axis=1))) for rows in duals)
         tau = tail * gtm / (1.0 - gtm)
         maps, coeffs = [s_mat], [tau]
         if kernel is not None and kernel.dim:
-            proj = kernel.projector()
-            in_w, out_w = s_mat @ proj, s_mat @ (np.eye(n) - proj)
-            # T_b P_W S^-1 for the k^m blocks b; |S X T_b P_W S^-1| = |S^-T P_W T_b^T X S^T|
-            into_w = (proj @ s_inv)[None]
+            c_mat = np.linalg.qr(s_mat @ kernel.basis)[0]  # S Q S^-1 = C C^T
+            in_w = c_mat.T @ s_mat
+            out_w = s_mat - c_mat @ in_w  # S (I-Q)
+            # T_b S^-1 C for the k^m blocks b: delta = max_b ||S (I-Q) T_b S^-1 C||
+            into_w = (s_inv @ c_mat)[None]
             for _ in range(m):
                 into_w = extend_products(stack, into_w)
-            rate = gamma**m * max_spectral_norm(in_w @ into_w)  # gamma^m A
-            if rate < 1.0:  # else W = {0}
-                escape = max_spectral_norm(out_w @ into_w)  # delta
-                e_sum = sum(float(np.max(np.linalg.norm(rows @ proj @ s_inv, axis=1))) for rows in last)
-                tau_w = (rate * e_sum + gamma**m * escape * tail / (1.0 - gtm)) / (1.0 - rate)
-                maps, coeffs = [out_w, in_w], [tau, tau_w]
+            escape = max_spectral_norm(out_w @ into_w)
+            e_sum = sum(float(np.max(np.linalg.norm(rows @ c_mat, axis=1))) for rows in duals)
+            tau_w = (gtm * e_sum + gamma**m * escape * tail / (1.0 - gtm)) / (1.0 - gtm)
+            maps, coeffs = [out_w, in_w], [tau, tau_w]
         self.beta, self.count = a.beta, count
         self.level_starts = np.cumsum([0] + [len(level) for level in levels[1:-1]])
         self.cols = np.hstack([covectors.T] + [mat.T for mat in maps])
         self.norm_starts, self.norm_coeffs = n * np.arange(len(maps)), np.array(coeffs)
 
     def children(self, states: np.ndarray) -> tuple[list[float], list[float], None]:
-        # One product gives, for each row u, every |gamma^j c_x . u|, then S (I-P_W) u
-        # and S P_W u (or S u) entrywise (their squares are all the norms need).
+        # One product gives, for each row u, every |gamma^j c_x . u|, then S (I-Q) u
+        # and C^T S u (or S u) entrywise (their squares are all the norms need).
         out = np.abs(states.dot(self.cols))
         heads = np.maximum.reduceat(out[:, :self.count], self.level_starts, axis=1)
         norms = np.sqrt(np.add.reduceat(np.square(out[:, self.count:]), self.norm_starts, axis=1))
@@ -412,7 +407,7 @@ def seminorm_interval(
     _check_gamma(gamma)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    _check_budget(budget)
+    check_budget(budget, 0)
     v = checked_array(v, "vector", (a.dim,))
     if node_bound is not None and params is not None:
         raise ValueError("params configures the generic node bound and is ignored with node_bound")

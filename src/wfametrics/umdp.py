@@ -65,11 +65,10 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .core import (
-    Wfa, check_document, check_size, checked_array, checked_symbols, discounted_sum,
+    Wfa, check_budget, check_document, check_size, checked_array, checked_symbols, discounted_sum,
     load_json, matrix_map, save_json, symbol_list,
 )
-from .metric import DEFAULT_BUDGET, DEFAULT_EPS, CannotCertifyError, CertifiedInterval
-from .metric import _check_budget, seminorm_interval
+from .metric import DEFAULT_BUDGET, DEFAULT_EPS, CannotCertifyError, CertifiedInterval, seminorm_interval
 
 _STOCHASTIC_TOL = 1e-12
 # policy iteration for the alpha-set stops when no choice gains beyond rounding, or here
@@ -167,7 +166,7 @@ def umdp_sup_value_interval(
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    _check_budget(budget)
+    check_budget(budget, 0)
     top = float(np.max(u.beta)) / (1.0 - u.gamma)
     if not np.isfinite(top):
         raise ValueError(f"the value bound max(beta) / (1 - gamma) = {top} overflows")

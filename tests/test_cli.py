@@ -142,7 +142,7 @@ class TestBasicCommands:
         _, a1 = growth_files
         for budget in ("0", "-1"):
             assert main(["jsr", a1, "--depth", "4", "--budget", budget]) == 1
-            assert capsys.readouterr().err == "error: node_budget must be at least 1\n"
+            assert capsys.readouterr().err == f"error: node_budget must be an integer of at least 1, got {budget}\n"
         huge = tmp_path / "huge.json"
         save_wfa(Wfa(alphabet=("a",), alpha=[1.0, 0.0], beta=[1.0, 1.0],
                      trans={"a": 1e200 * np.eye(2)}), str(huge))

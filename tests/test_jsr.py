@@ -257,9 +257,14 @@ class TestJsrBounds:
             jsr_bounds([np.eye(2), np.eye(3)], depth=2)
         with pytest.raises(ValueError):
             jsr_bounds([np.eye(2)], depth=0)
-        for budget in (0, -1):
-            with pytest.raises(ValueError, match="node_budget"):
+        # NaN and inf once pruned no level (k^d products); 2.5 failed in the pruning slice
+        for budget in (0, -1, np.nan, np.inf, 2.5):
+            message = f"node_budget must be an integer of at least 1, got {budget}"
+            with pytest.raises(ValueError, match=message):
                 jsr_bounds([np.eye(2)], depth=2, node_budget=budget)
+        # an integral float prunes as its int does; it once failed in the pruning slice
+        pruned = jsr_bounds(CLASSIC_PAIR, depth=10, node_budget=4)
+        assert pruned.truncated and jsr_bounds(CLASSIC_PAIR, depth=10, node_budget=4.0) == pruned
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_is_named(self, bad):

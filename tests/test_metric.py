@@ -16,6 +16,7 @@ from wfametrics import (
     distance_upper_bound,
     evaluate,
     largest_bisimulation,
+    minimize,
     parameter_continuity_experiment,
     seminorm_interval,
     truncated_seminorm,
@@ -276,7 +277,7 @@ class TestSeminormInterval:
         # 2.5 and NaN were once silently unlimited: the loop stops at nodes_expanded == budget
         a = random_wfa(rng, n=3, norm_cap=0.95)
         v = rng.standard_normal(3)
-        message = f"budget must be a non-negative integer, got {budget}"
+        message = f"budget must be an integer of at least 0, got {budget}"
         with pytest.raises(ValueError, match=message):
             seminorm_interval(a, v, gamma=0.9, eps=1e-12, budget=budget)
         with pytest.raises(ValueError, match=message):
@@ -529,16 +530,24 @@ def chain_remainders(data, a, gamma, params, kernel, states):
 
     With ``K = params.step_norm``, splitting a word of length ``j = q*m + r``
     into ``q`` blocks and ``r`` steps gives ``|tau_x u|_S <= theta^(q*m) K^r |u|_S``,
-    whose discounted sum is ``G``; ``y = (I-P_W)u``.  The ``P_W u`` term is
+    whose discounted sum is ``G``; ``y = (I-Q)u``, with ``Q`` the bound's
+    projector onto the kernel (orthogonal in the working norm).  The ``Q u`` term is
     the generic bound's own, as both bounds share it.
     """
     m, theta, big_k, s_mat = params.block_len, params.theta, params.step_norm, params.scaling
     g = sum((gamma * big_k) ** r for r in range(m)) / (1.0 - (gamma * theta) ** m)
     beta_dual = np.linalg.norm(np.linalg.inv(s_mat).T @ a.beta)
-    proj = kernel.projector() if kernel is not None else np.zeros((a.dim, a.dim))
-    perp = np.linalg.norm(states @ (s_mat @ (np.eye(a.dim) - proj)).T, axis=1)
+    c_mat = np.linalg.qr(s_mat @ kernel.basis)[0] if kernel is not None else np.zeros((a.dim, 0))
+    in_w = states @ s_mat.T @ c_mat  # rows C^T S u, so S Q u = C C^T S u
+    perp = np.linalg.norm(states @ s_mat.T - in_w @ c_mat.T, axis=1)
     resid = data.norm_coeffs[1] if len(data.norm_coeffs) > 1 else 0.0
-    return beta_dual * (g - 1.0) * perp + resid * np.linalg.norm(states @ (s_mat @ proj).T, axis=1)
+    return beta_dual * (g - 1.0) * perp + resid * np.linalg.norm(in_w, axis=1)
+
+
+def diagonal_skew(a, d):
+    """``a`` in the coordinates ``diag(d) x``: the same function, its transitions scaled apart."""
+    return Wfa(alphabet=a.alphabet, alpha=d * a.alpha, beta=a.beta / d,
+               trans={s: d[:, None] * m / d[None, :] for s, m in a.trans.items()})
 
 
 class TestCovectorBound:
@@ -564,19 +573,24 @@ class TestCovectorBound:
                 checked += 1
         assert checked >= 60
 
-    def test_kernel_falls_back_to_none_when_its_block_rate_is_not_below_one(self):
+    def test_kernel_kept_in_a_scaling_that_skews_its_orthogonal_projector(self):
         # W = span((1, 1)) is an exact bisimulation of tau = 0.5 I.  In the scaling
-        # diag(1, 100) its projector is far from orthogonal: gamma^m A is about
-        # 0.9 * 0.5 * |S w| |S^-1 w| = 22.5, so the bound takes W = {0}.
+        # diag(1, 100) its orthogonal projector has working norm about 50, which
+        # once made the bound drop W; the S-orthogonal projector has norm 1.
         a = Wfa(alphabet=("a",), alpha=[1.0, 0.0], beta=[1.0, -1.0], trans={"a": 0.5 * np.eye(2)})
         kernel = Subspace(np.ones((2, 1)) / np.sqrt(2.0), DEFAULT_TOL)
-        states = np.array([[1.0, 2.0], [3.0, -1.0], [1.0, 1.0]])
-        plain = metric.TailBoundParams(0.5, np.eye(2), 1, 1.0)
-        assert len(_BoundData(a, 0.9, plain, kernel).norm_coeffs) == 2  # here gamma^m A = 0.45
-        skewed = metric.TailBoundParams(0.5, np.diag([1.0, 100.0]), 1, 1.0)
-        fallback = _BoundData(a, 0.9, skewed, kernel)
-        assert len(fallback.norm_coeffs) == 1
-        assert fallback.children(states) == _BoundData(a, 0.9, skewed, None).children(states)
+        for scaling in (np.eye(2), np.diag([1.0, 100.0])):
+            data = _BoundData(a, 0.9, metric.TailBoundParams(0.5, scaling, 1, 1.0), kernel)
+            assert len(data.norm_coeffs) == 2
+            assert data.children(np.ones((1, 2)))[1][0] <= 1e-15
+
+    def test_badly_scaled_pair_closes_at_the_root(self):
+        # the balanced scaling certifies this pair; with the orthogonal projector
+        # the bound dropped W and its root upper was 0.48
+        rng = np.random.default_rng([99, 98])
+        d = 10.0 ** rng.uniform(-2, 2, 2)
+        a = diagonal_skew(random_wfa(rng, n=2), d)
+        assert distance(a, minimize(a), 0.9, budget=0).upper <= 1e-12
 
     def test_root_bound_with_a_loose_kernel_is_above_the_truncated_value(self):
         # Three letters keep J at 6 or 7 levels for n <= 4, so levels up to 10 of
@@ -638,21 +652,25 @@ class TestCovectorBound:
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(n=st.integers(1, 5), k=st.integers(1, 3),
            gamma=st.floats(0.2, 0.85, exclude_min=True, exclude_max=True),
-           kernel=st.sampled_from(["none", "copy", "near-copy", "loose"]), seed=st.integers(0, 2**32 - 1))
+           kernel=st.sampled_from(["none", "copy", "near-copy", "loose", "skewed"]),
+           seed=st.integers(0, 2**32 - 1))
     def test_sound_property(self, n, k, gamma, kernel, seed):
         """``upper`` is above the truncated value and the witness re-propagates to ``lower``."""
         rng = np.random.default_rng(seed)
         a = random_wfa(rng, n=n, alphabet=("a", "b", "c")[:k], norm_cap=rng.uniform(0.3, 1.0))
         if kernel != "none":  # duplicated copies: a bisimulation kernel of dimension n
             a = duplicated_copy(a)
-        if kernel in ("near-copy", "loose"):  # a numerical kernel with small (or large) residuals
+        if kernel not in ("none", "copy"):  # a numerical kernel with small (or large) residuals
             noise = 10.0 ** (rng.uniform(-12, -8) if kernel == "near-copy" else rng.uniform(-6, -1))
             a = Wfa(alphabet=a.alphabet, alpha=a.alpha, beta=a.beta,
                     trans={s: m + noise * rng.standard_normal(m.shape) for s, m in a.trans.items()})
         v = rng.standard_normal(a.dim)
         bound, budget = None, 2000
-        if kernel == "loose":  # a kernel at a loose tol, v near the copies' differences, the root's bound
+        if kernel in ("loose", "skewed"):  # a kernel at a loose tol, v near the copies' differences, the root's bound
             v[n:] = -v[:n] + 1e-3 * v[n:]
+            if kernel == "skewed":  # coordinates scaled apart: the balanced scaling meets a kernel
+                d = 10.0 ** rng.uniform(-1.5, 1.5, a.dim)
+                a, v = diagonal_skew(a, d), d * v
             tol = 10.0 ** rng.uniform(-4, -1)
             bound = _BoundData(a, gamma, compute_tail_params(a, gamma), largest_bisimulation(a, tol))
             budget = 0
