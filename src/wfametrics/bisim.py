@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Wfa, reverse
+from .jsr import extend_products
 from .linalg import DEFAULT_TOL, check_tol, fix_signs, null_basis, orth_basis, rank_of
 
 # Largest component along the basis that a newly admitted direction may keep.
@@ -71,10 +72,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the subspace."""
-        return self.basis @ self.basis.T
 
     def project(self, v: np.ndarray) -> np.ndarray:
         return self.basis @ (self.basis.T @ np.asarray(v, dtype=float))
@@ -124,15 +121,12 @@ def reachable_subspace(a: Wfa, tol: float = DEFAULT_TOL) -> Subspace:
         return Subspace(np.zeros((0, 0)), tol)
     basis = orth_basis(a.alpha.reshape(n, 1), tol)
     trans = a.trans_stack()
-    k = len(trans)
     # sqrt(1 + |T|_F^2), with T scaled so that its squares cannot overflow
     peak = float(np.max(np.abs(trans)))
     cap = np.hypot(1.0, peak * np.linalg.norm(trans / peak)) if peak > 0 else 1.0
-    stacked = trans.reshape(k * n, n)
     new = basis
     while new.shape[1] and basis.shape[1] < n:
-        m = new.shape[1]
-        images = (stacked @ new).reshape(k, n, m).transpose(1, 0, 2).reshape(n, k * m)
+        images = extend_products(trans, new[None]).transpose(1, 0, 2).reshape(n, -1)
         resid = images - basis @ (basis.T @ images)
         resid -= basis @ (basis.T @ resid)
         u, sv, _ = np.linalg.svd(resid, full_matrices=False)

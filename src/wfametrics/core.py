@@ -67,14 +67,16 @@ def checked_array(value, name: str, shape: tuple[int | None, ...]) -> np.ndarray
     return arr
 
 
-def check_budget(budget, least: int, name: str = "budget") -> None:
-    """Reject a node budget that is not an integer of at least ``least`` (NaN and inf included).
+def check_budget(count, least: int, name: str = "budget") -> None:
+    """Reject a count that is not an integer of at least ``least`` (NaN and inf included).
 
-    A search stops when its count of nodes or products reaches the budget, so
-    a budget that no count can equal would run unbounded.
+    Node budgets, depths, ranks, trials and horizons all pass through here.  A
+    search stops when its count of nodes or products reaches the budget, so a
+    budget that no count can equal would run unbounded; a float count is
+    accepted when it is whole, and its callers take ``int(count)``.
     """
-    if not (least <= budget < np.inf and budget % 1 == 0):
-        raise ValueError(f"{name} must be an integer of at least {least}, got {budget}")
+    if not (least <= count < np.inf and count % 1 == 0):
+        raise ValueError(f"{name} must be an integer of at least {least}, got {count}")
 
 
 def checked_symbols(symbols: Iterable[str], name: str) -> tuple[str, ...]:

@@ -99,21 +99,17 @@ def extend_products(gens: np.ndarray, prods: np.ndarray) -> np.ndarray:
 
     With ``prods`` in lexicographic word order (the product for word
     ``x1..xt`` being ``T[xt] @ ... @ T[x1]``), the result is the next level in
-    the same order.  ``prods`` may also be a stack of ``(n, 1)`` states.
+    the same order.  ``prods`` may be any ``(p, n, r)`` stack: ``(n, 1)``
+    states, ``n``-by-``r`` blocks or ``n``-by-``n`` matrices.
 
-    A stack of states goes through ``einsum``, the faster kernel there at
-    small ``n``, whose summation order
-    :func:`~wfametrics.metric.truncated_seminorm` is tested against.  A stack
-    of ``n``-by-``n`` matrices goes through one broadcast ``matmul`` (BLAS),
-    whose last bits depend on the BLAS build.  An entry that overflows comes
-    back infinite without a warning: every caller checks the level for
-    finiteness before it trusts it.
+    Every level is one stacked ``matmul`` of the ``(k n, n)`` generators
+    with each ``prods[p]``, whose last bits depend on the BLAS build.  An
+    entry that overflows comes back infinite without a warning: every caller
+    checks the level for finiteness before it trusts it.
     """
-    shape = (-1,) + prods.shape[1:]
-    if prods.shape[2] == 1:
-        return np.einsum("gij,pjk->pgik", gens, prods).reshape(shape)
+    k, n, _ = gens.shape
     with np.errstate(over="ignore"):
-        return np.matmul(gens[None], prods[:, None]).reshape(shape)
+        return np.matmul(gens.reshape(k * n, n), prods).reshape((-1,) + prods.shape[1:])
 
 
 def jsr_bounds(
@@ -137,15 +133,15 @@ def jsr_bounds(
     would exceed ``node_budget`` products it is pruned to the largest-norm
     ``node_budget`` of them; the result is then flagged ``truncated`` and
     the upper bound stops improving, but both bounds remain valid.  Raises
-    ``ValueError`` for a non-finite matrix, a ``node_budget`` that is not an
-    integer of at least 1 (NaN and inf included), or a product level that
-    overflows floating point.
+    ``ValueError`` for a non-finite matrix, a ``depth`` or ``node_budget``
+    that is not an integer of at least 1 (NaN and inf included), or a product
+    level that overflows floating point.
     """
     gens = _as_square_stack(mats)
     k, n, _ = gens.shape
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    check_budget(depth, 1, "depth")
     check_budget(node_budget, 1, "node_budget")
+    depth = int(depth)
     if symbols is None:
         width = len(str(k - 1))
         symbols = tuple(str(i).zfill(width) for i in range(k))

@@ -20,8 +20,8 @@ import numpy as np
 
 from .bisim import minimize
 from .core import (
-    Wfa, Word, as_word, check_document, checked_array, checked_symbols, load_json, matrix_map,
-    prefix_states, reverse, symbol_list,
+    Wfa, Word, as_word, check_budget, check_document, checked_array, checked_symbols, load_json,
+    matrix_map, prefix_states, reverse, symbol_list,
 )
 from .linalg import DEFAULT_TOL, check_tol, numerical_rank, rank_of, sign_flips, spectral_norm
 from .metric import CannotCertifyError, _checked_scales, _with_norm, distance
@@ -135,8 +135,8 @@ def spectral_learn(block: HankelBlock, rank: int, tol: float = DEFAULT_TOL) -> W
     singular values raise.
     """
     check_tol(tol)
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
+    check_budget(rank, 1, "rank")
+    rank = int(rank)
     np_, ns = block.h.shape
     if rank > min(np_, ns):
         raise ValueError(f"rank {rank} exceeds block size {min(np_, ns)}")
@@ -187,8 +187,7 @@ def perturbation_experiment(
     flagged ``"skipped"``.  Ranks are decided at ``DEFAULT_TOL``.  ``trials < 1``
     or a negative or non-finite scale raises ``ValueError``.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    check_budget(trials, 1, "trials")
     noise_scales = _checked_scales(noise_scales)
     block = hankel_from_wfa(a, prefixes, suffixes)
     rank = minimize(a).dim
@@ -196,7 +195,7 @@ def perturbation_experiment(
         raise ValueError("the target automaton computes the zero function; nothing to learn")
     rows = []
     for idx, scale in enumerate(noise_scales):
-        for trial in range(trials):
+        for trial in range(int(trials)):
             rng = np.random.default_rng([seed, idx, trial])
             noisy = _perturb_block(block, scale, rng)
             hankel_err = spectral_norm(noisy.h - block.h)

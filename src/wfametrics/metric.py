@@ -72,11 +72,13 @@ c_x . (I-Q)u + (C^T S^-T c_x) . (C^T S u)``, it is ``tau |(I-Q)u|_S + tau_W
 ||C^T S u||_2``, and for an exact ``W`` (orthogonal to every ``c_x``)
 equivalent automata close to width ~0 at the root.  A block ``b`` of ``m``
 symbols maps ``S^-T c_x`` by ``M_b^T``, ``M_b = S T_b S^-1``, and both
-``C C^T`` and ``I - C C^T`` have norm at most 1, so ``||C^T M_b^T C|| <=
-theta^m`` and, for ``e_j = max_{|x|=j} ||C^T S^-T c_x||_2``,
+``C C^T`` and ``I - C C^T`` have norm at most 1, so the kernel's own block
+rate ``rho_W = max_b ||C^T M_b C||`` is at most ``theta^m`` and, for ``e_j =
+max_{|x|=j} ||C^T S^-T c_x||_2``,
 
-    e_{j+m} <= theta^m e_j + delta d_j,  delta = max_b ||(S - C C^T S) T_b S^-1 C||,
-    tau_W = ((gamma*theta)^m E + gamma^m delta D / (1 - (gamma*theta)^m)) / (1 - (gamma*theta)^m),
+    e_{j+m} <= rho_W e_j + delta d_j,  delta = max_b ||(S - C C^T S) T_b S^-1 C||,
+    tau_W = (rate E + gamma^m delta D / (1 - (gamma*theta)^m)) / (1 - rate),
+    rate = min((gamma*theta)^m, gamma^m rho_W) < 1,
 
 summed over the blocks past ``J``, with ``E`` and ``D`` the sums of
 ``gamma^j e_j`` and ``gamma^j d_j`` over the last ``m`` levels.  This holds
@@ -103,7 +105,9 @@ is below ``1 + 2pr`` times it.  Widening by ``(p + 1) 2^-52`` covers that and
 its own two roundings, with ``d = depth_explored`` and ``J = max(64, m)``, or
 64 for a ``node_bound`` passed in (the UMDP bound is an ``n``-term product);
 ``converged`` is judged before it.  Not counted: the products ``c_x . u`` and
-``tau_s u``, which can cancel, are exact only to f64 roundoff, as the states.
+``tau_s u``, which can cancel, are exact only to f64 roundoff, as the states;
+and ``theta``, ``delta`` and the kernel rate ``rho_W`` are SVD results, with
+errors of about ``n eps`` relative that the widening does not cover.
 """
 
 from __future__ import annotations
@@ -168,8 +172,8 @@ class TailBoundParams:
 
     def __post_init__(self):
         object.__setattr__(self, "scaling", np.array(self.scaling, dtype=float))
-        if self.block_len < 1:
-            raise ValueError("block_len must be at least 1")
+        check_budget(self.block_len, 1, "block_len")
+        object.__setattr__(self, "block_len", int(self.block_len))
 
 
 @dataclass(frozen=True)
@@ -300,9 +304,8 @@ def compute_tail_params(a: Wfa, gamma: float, depth: int = 8) -> TailBoundParams
     be admissible at higher depth.
     """
     _check_gamma(gamma)
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    for params in _certificates(a.trans_stack(), depth):
+    check_budget(depth, 1, "depth")
+    for params in _certificates(a.trans_stack(), int(depth)):
         if gamma * params.theta < 1.0 - _CERT_MARGIN:
             return params
     raise CannotCertifyError(
@@ -355,12 +358,14 @@ class _BoundData:
             in_w = c_mat.T @ s_mat
             out_w = s_mat - c_mat @ in_w  # S (I-Q)
             # T_b S^-1 C for the k^m blocks b: delta = max_b ||S (I-Q) T_b S^-1 C||
+            # and the kernel's own block rate max_b ||C^T S T_b S^-1 C|| <= theta^m
             into_w = (s_inv @ c_mat)[None]
             for _ in range(m):
                 into_w = extend_products(stack, into_w)
             escape = max_spectral_norm(out_w @ into_w)
+            rate = min(gtm, gamma**m * max_spectral_norm(in_w @ into_w))
             e_sum = sum(float(np.max(np.linalg.norm(rows @ c_mat, axis=1))) for rows in duals)
-            tau_w = (gtm * e_sum + gamma**m * escape * tail / (1.0 - gtm)) / (1.0 - gtm)
+            tau_w = (rate * e_sum + gamma**m * escape * tail / (1.0 - gtm)) / (1.0 - rate)
             maps, coeffs = [out_w, in_w], [tau, tau_w]
         self.beta, self.count = a.beta, count
         self.level_starts = np.cumsum([0] + [len(level) for level in levels[1:-1]])
@@ -581,8 +586,7 @@ def truncated_seminorm(a: Wfa, v: np.ndarray, gamma: float, depth: int) -> float
     """
     _check_gamma(gamma)
     v = checked_array(v, "vector", (a.dim,))
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
+    check_budget(depth, 0, "depth")
     if a.dim == 0:
         return 0.0
     stack = a.trans_stack()
@@ -590,7 +594,7 @@ def truncated_seminorm(a: Wfa, v: np.ndarray, gamma: float, depth: int) -> float
     states = v[None, :, None]
     totals = np.array([abs(float(beta @ v))])
     gpow = 1.0
-    for _ in range(depth):
+    for _ in range(int(depth)):
         gpow *= gamma
         states = extend_products(stack, states)
         totals = np.repeat(totals, stack.shape[0]) + gpow * np.abs(states[:, :, 0] @ beta)

@@ -131,11 +131,10 @@ def umdp_value_truncated(u: Umdp, x: Iterable[str], horizon: int) -> float:
     """
     a = umdp_to_wfa(u)
     word = a.check_word(x)
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    check_budget(horizon, 1, "horizon")
     if len(word) < horizon:
         raise ValueError(f"action string of length {len(word)} shorter than horizon {horizon}")
-    return discounted_sum(a, word[: horizon - 1], u.gamma)
+    return discounted_sum(a, word[: int(horizon) - 1], u.gamma)
 
 
 def umdp_to_wfa(u: Umdp) -> Wfa:

@@ -208,7 +208,7 @@ class TestLargestBisimulation:
             w = largest_bisimulation(a, 1e-9)
             ref = fixed_point_bisimulation(a, 1e-9)
             assert w.dim == ref.shape[1]
-            assert np.max(np.abs(w.projector() - ref @ ref.T)) <= 1e-8
+            assert np.max(np.abs(w.basis @ w.basis.T - ref @ ref.T)) <= 1e-8
 
     @pytest.mark.parametrize("n", [30, 50])
     def test_single_symbol_automaton_is_observable(self, n):
@@ -276,7 +276,7 @@ class TestReachableSubspace:
                 ref = full_svd_closure(b)
                 sub = reachable_subspace(b)
                 assert sub.dim == ref.shape[1]
-                assert np.max(np.abs(sub.projector() - ref @ ref.T)) <= 1e-6
+                assert np.max(np.abs(sub.basis @ sub.basis.T - ref @ ref.T)) <= 1e-6
 
     def test_hidden_invariant_block_is_found_exactly(self):
         for seed in range(300):

@@ -561,8 +561,8 @@ class TestExperimentsAndDeterminism:
         assert lines[1] == "scale,hankel_err,d_lower,d_upper,ratio,status"
 
     @pytest.mark.parametrize("experiment,flag,value,message", [
-        ("learn", "--trials", "0", "trials must be at least 1, got 0"),
-        ("learn", "--trials", "-1", "trials must be at least 1, got -1"),
+        ("learn", "--trials", "0", "trials must be an integer of at least 1, got 0"),
+        ("learn", "--trials", "-1", "trials must be an integer of at least 1, got -1"),
         ("learn", "--scales", "-0.1", "got -0.1"),
         ("learn", "--scales", "nan", "got nan"),
         ("continuity", "--scales", "-0.1", "got -0.1"),

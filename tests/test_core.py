@@ -14,6 +14,10 @@ from wfametrics import (
     with_initial,
 )
 from wfametrics.core import json_text, load_json, prefix_states, save_wfa
+from wfametrics.jsr import jsr_bounds
+from wfametrics.learn import hankel_from_wfa, perturbation_experiment, spectral_learn
+from wfametrics.metric import TailBoundParams, compute_tail_params, truncated_seminorm
+from wfametrics.umdp import Umdp, umdp_value_truncated
 from conftest import all_words, random_wfa
 
 
@@ -292,3 +296,37 @@ class TestLoadJson:
         save_wfa(a, str(path))
         assert path.read_text() == json_text(wfa_to_dict(a))
         assert wfa_to_dict(load_json(str(path), wfa_from_dict)) == wfa_to_dict(a)
+
+
+def count_entry_points():
+    """Each counted argument with the call that takes it, the least count and a passing value."""
+    a = random_wfa(np.random.default_rng(5), n=2, alphabet=("a",), norm_cap=0.5)
+    words = [(), ("a",)]
+    block = hankel_from_wfa(a, words, words)
+    u = Umdp(actions=("a",), alpha=[1.0, 0.0], beta=[1.0, 0.5], trans={"a": np.eye(2)}, gamma=0.5)
+    return [
+        ("depth", 1, 2, lambda d: compute_tail_params(a, 0.5, depth=d)),
+        ("depth", 1, 2, lambda d: jsr_bounds(list(a.trans.values()), d)),
+        ("depth", 0, 2, lambda d: truncated_seminorm(a, a.alpha, 0.5, d)),
+        ("rank", 1, 1, lambda r: spectral_learn(block, r)),
+        ("trials", 1, 1, lambda t: perturbation_experiment(a, words, words, [1e-3], 0.5, trials=t)),
+        ("horizon", 1, 2, lambda h: umdp_value_truncated(u, "aa", h)),
+        ("block_len", 1, 2, lambda m: TailBoundParams(0.5, np.eye(2), m, 1.0)),
+    ]
+
+
+class TestCountCheck:
+    @pytest.mark.parametrize("entry", range(7))
+    @pytest.mark.parametrize("bad", [2.5, np.nan, np.inf, -1])
+    def test_every_count_is_checked_alike(self, entry, bad):
+        # 2.5 once raised TypeError from range or a slice, 1.5 an IndexError and NaN passed depth < 1
+        name, least, _, call = count_entry_points()[entry]
+        for count in (bad, least - 1):
+            message = f"^{name} must be an integer of at least {least}, got {count}$"
+            with pytest.raises(ValueError, match=message):
+                call(count)
+
+    @pytest.mark.parametrize("entry", range(7))
+    def test_a_whole_float_counts_as_its_int(self, entry):
+        _, _, good, call = count_entry_points()[entry]
+        assert repr(call(float(good))) == repr(call(good))

@@ -232,6 +232,21 @@ class TestJsrBounds:
         idx = sum(int(x) * 3 ** (t - 1 - i) for i, x in enumerate(b.witness))
         assert spectral_radii(level)[idx] ** (1.0 / t) == b.lower
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("cols", ["state", "block", "square"])
+    def test_extend_products_serves_every_stack_shape(self, k, cols):
+        # one kernel for (p, n, 1) states, (p, n, r) kernel blocks and n-by-n levels
+        rng = np.random.default_rng([k, len(cols)])
+        for n in (1, 3, 7):
+            r = {"state": 1, "block": 2, "square": n}[cols]
+            gens = rng.standard_normal((k, n, n))
+            prods = rng.standard_normal((4, n, r))
+            level = extend_products(gens, prods)
+            assert level.shape == (4 * k, n, r)
+            for p in range(4):
+                for g in range(k):
+                    np.testing.assert_allclose(level[p * k + g], gens[g] @ prods[p], rtol=1e-13, atol=1e-13)
+
     def test_conjugation_keeps_bracket_overlapping(self, rng):
         t = np.eye(2) + 0.2 * rng.standard_normal((2, 2))
         t_inv = np.linalg.inv(t)

@@ -184,7 +184,7 @@ class TestPerturbationExperiment:
         assert max(ratios) / min(ratios) <= 10.0
 
     @pytest.mark.parametrize("scales,trials,message", [
-        ([1e-3], 0, "trials must be at least 1, got 0"),
+        ([1e-3], 0, "trials must be an integer of at least 1, got 0"),
         ([1e-3, -1e-3], 1, "got -0.001"),
         ([np.inf], 1, "got inf"),
     ])

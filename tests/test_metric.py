@@ -630,6 +630,19 @@ class TestCovectorBound:
             iv = seminorm_interval(a, v, 0.8, budget=0)
             assert iv.upper <= 1e-13 * np.linalg.norm(v)
 
+    def test_kernel_tail_takes_the_kernels_own_block_rate(self):
+        # the identity certifies this skewed copy at m = 8 with (gamma*theta)^m = 0.998,
+        # but the block rate on the kernel is 1.4 against theta^m = 5.9: with
+        # theta^m for the kernel the root upper was 4.1e-7 * |v|, now 4.4e-9
+        rng = np.random.default_rng([41, 13, 7])
+        a = duplicated_copy(random_wfa(rng, n=13, norm_cap=0.9))
+        x = rng.standard_normal(13)
+        v = np.concatenate([x, -x])
+        d = 10.0 ** rng.uniform(-1.5, 1.5, 26)
+        a, v = diagonal_skew(a, d), d * v
+        iv = seminorm_interval(a, v, 0.8, budget=0)
+        assert iv.upper <= 1e-8 * np.linalg.norm(v)
+
     def test_levels_within_the_work_cap_but_at_least_the_block_length(self):
         rng = np.random.default_rng(32)
         a = random_wfa(rng, n=3, alphabet=("a", "b"), norm_cap=0.9)
@@ -725,14 +738,15 @@ class TestNodeBoundOption:
 
 
 def level_loop_truncated_seminorm(a, v, gamma, depth):
-    """Depth-limited seminorm with states as rows, one einsum per level."""
+    """Depth-limited seminorm with states as rows, each mapped by the stacked product."""
     stack = a.trans_stack()
+    stacked = stack.reshape(-1, a.dim)  # rows of tau_s for s in alphabet order
     states = v[None, :]
     totals = np.array([abs(float(a.beta @ v))])
     gpow = 1.0
     for _ in range(depth):
         gpow *= gamma
-        states = np.einsum("gij,pj->pgi", stack, states).reshape(-1, a.dim)
+        states = np.concatenate([stacked @ u for u in states]).reshape(-1, a.dim)
         totals = np.repeat(totals, stack.shape[0]) + gpow * np.abs(states @ a.beta)
     return float(np.max(totals))
 
