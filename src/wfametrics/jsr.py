@@ -51,6 +51,7 @@ from .core import Wfa, check_budget
 from .linalg import (
     CAP_SLACK,
     DEFAULT_TOL,
+    _unit_scaled,
     check_tol,
     frobenius_norms,
     max_spectral_norm,
@@ -82,10 +83,12 @@ class JsrBounds:
 def _as_square_stack(mats) -> np.ndarray:
     """The family as one ``(k, n, n)`` stack.
 
-    A matrix that is not square, finite and of matrix 0's size raises
-    ``ValueError`` naming its position.
+    An empty family raises ``ValueError``, and so does a matrix that is not
+    square, finite and of matrix 0's size, naming its position.
     """
     mats = [np.asarray(m, dtype=float) for m in mats]
+    if not mats:
+        raise ValueError("the matrix family is empty; it needs at least one matrix")
     for i, mat in enumerate(mats):
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape != mats[0].shape:
             raise ValueError(f"matrix {i} has shape {mat.shape}; all must be square and of equal size")
@@ -100,7 +103,8 @@ def extend_products(gens: np.ndarray, prods: np.ndarray) -> np.ndarray:
     With ``prods`` in lexicographic word order (the product for word
     ``x1..xt`` being ``T[xt] @ ... @ T[x1]``), the result is the next level in
     the same order.  ``prods`` may be any ``(p, n, r)`` stack: ``(n, 1)``
-    states, ``n``-by-``r`` blocks or ``n``-by-``n`` matrices.
+    states, ``n``-by-``r`` blocks or ``n``-by-``n`` matrices.  An empty
+    stack (``p = 0`` or ``n = 0``) gives an empty level of ``p k`` entries.
 
     Every level is one stacked ``matmul`` of the ``(k n, n)`` generators
     with each ``prods[p]``, whose last bits depend on the BLAS build.  An
@@ -109,7 +113,7 @@ def extend_products(gens: np.ndarray, prods: np.ndarray) -> np.ndarray:
     """
     k, n, _ = gens.shape
     with np.errstate(over="ignore"):
-        return np.matmul(gens.reshape(k * n, n), prods).reshape((-1,) + prods.shape[1:])
+        return np.matmul(gens.reshape(k * n, n), prods).reshape((len(prods) * k,) + prods.shape[1:])
 
 
 def jsr_bounds(
@@ -133,7 +137,8 @@ def jsr_bounds(
     would exceed ``node_budget`` products it is pruned to the largest-norm
     ``node_budget`` of them; the result is then flagged ``truncated`` and
     the upper bound stops improving, but both bounds remain valid.  Raises
-    ``ValueError`` for a non-finite matrix, a ``depth`` or ``node_budget``
+    ``ValueError`` for an empty family, a non-finite matrix, ``symbols``
+    that are not one distinct label per matrix, a ``depth`` or ``node_budget``
     that is not an integer of at least 1 (NaN and inf included), or a product
     level that overflows floating point.
     """
@@ -147,6 +152,8 @@ def jsr_bounds(
         symbols = tuple(str(i).zfill(width) for i in range(k))
     if len(symbols) != k:
         raise ValueError("need exactly one symbol per matrix")
+    if len(set(symbols)) != k:
+        raise ValueError(f"symbols must be distinct, got {tuple(symbols)}")
 
     if n == 0:
         return JsrBounds(0.0, 0.0, depth, ())
@@ -290,17 +297,22 @@ def is_irreducible(mats, tol: float = DEFAULT_TOL) -> bool:
     ``n^2`` (Burnside's criterion).  Products come level by level from
     :func:`extend_products`; one joins the basis when its residual against
     the basis so far exceeds ``tol`` times its own norm, and only products
-    that joined are extended.  Judging each raw product against its own norm
-    makes the answer independent of how each matrix is scaled; propagating
-    orthonormalized directions instead (the span closure of the Kronecker
-    lift) amplifies roundoff and calls hidden reducible families
-    irreducible.  The basis holds up to ``n^2`` vectors of length ``n^2``.
+    that joined are extended.  Each generator and each product is first
+    multiplied by the power of two that puts its largest entry in [0.5, 1):
+    the test is homogeneous, so this changes no decision, and no product
+    can overflow or underflow.  Judging each raw product against its own
+    norm makes the answer independent of how each matrix is scaled, at
+    every scale; propagating orthonormalized directions instead (the span
+    closure of the Kronecker lift) amplifies roundoff and calls hidden
+    reducible families irreducible.  The basis holds up to ``n^2`` vectors
+    of length ``n^2``, and a 0-by-0 family, whose algebra is {0}, is not
+    irreducible.
 
     ``False`` can be an artifact of working over the reals rather than the
     complex field, where the criterion is exact.
     """
     check_tol(tol)
-    gens = _as_square_stack(mats)
+    gens = np.array([_unit_scaled(mat) for mat in _as_square_stack(mats)])
     n = gens.shape[1]
     basis = np.zeros((n * n, n * n))
     rank = 0
@@ -311,15 +323,15 @@ def is_irreducible(mats, tol: float = DEFAULT_TOL) -> bool:
         for prod in prods:
             if rank == n * n:
                 break
-            vec = prod.reshape(-1)
+            vec = _unit_scaled(prod).reshape(-1)
             resid = vec - basis[:rank].T @ (basis[:rank] @ vec)
             resid -= basis[:rank].T @ (basis[:rank] @ resid)  # re-orthogonalize once
             rnorm = np.linalg.norm(resid)
             if rnorm > tol * np.linalg.norm(vec):
                 basis[rank] = resid / rnorm
                 rank += 1
-                kept.append(prod)
-        return np.array(kept).reshape(-1, n, n)
+                kept.append(vec)
+        return np.array(kept).reshape(len(kept), n, n)
 
     admit(np.eye(n)[None])
     frontier = admit(gens)

@@ -74,17 +74,16 @@ def hankel_from_wfa(a: Wfa, prefixes: Sequence, suffixes: Sequence) -> HankelBlo
     """Exact Hankel block of ``a`` on the given index sets.
 
     Entries come from evaluations: ``H[p, s] = f(ps)``, shifted blocks insert
-    one symbol between prefix and suffix.
+    one symbol between prefix and suffix.  Both index sets must contain the
+    empty word, as :class:`HankelBlock` checks.
     """
     prefixes = [a.check_word(p) for p in prefixes]
     suffixes = [a.check_word(s) for s in suffixes]
-    if () not in prefixes or () not in suffixes:
-        raise ValueError("prefix and suffix sets must both contain the empty word")
 
     rev = reverse(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        fwd = np.array([prefix_states(a, p)[-1] for p in prefixes])
-        bwd = np.array([prefix_states(rev, s[::-1])[-1] for s in suffixes])
+        fwd = np.array([prefix_states(a, p)[-1] for p in prefixes]).reshape(len(prefixes), a.dim)
+        bwd = np.array([prefix_states(rev, s[::-1])[-1] for s in suffixes]).reshape(len(suffixes), a.dim)
         h = fwd @ bwd.T
         hsig = {sym: fwd @ a.trans[sym].T @ bwd.T for sym in a.alphabet}
         hp, hs = fwd @ a.beta, bwd @ a.alpha
@@ -99,23 +98,6 @@ def hankel_from_wfa(a: Wfa, prefixes: Sequence, suffixes: Sequence) -> HankelBlo
         hp=hp,
         hs=hs,
     )
-
-
-def consistency_residual(block: HankelBlock) -> float:
-    """Largest mismatch between overlapping entries of H and the shifted blocks.
-
-    Zero for exact blocks: whenever a prefix factors as ``p = p' s``, row
-    ``p`` of H must equal row ``p'`` of the shift by ``s``.
-    """
-    index = {p: i for i, p in enumerate(block.prefixes)}
-    worst = 0.0
-    for p, i in index.items():
-        if len(p) == 0:
-            continue
-        head, sym = p[:-1], p[-1]
-        if head in index and sym in block.hsig:
-            worst = max(worst, float(np.max(np.abs(block.h[i] - block.hsig[sym][index[head]]))))
-    return worst
 
 
 def basis_is_complete(a: Wfa, block: HankelBlock, tol: float = DEFAULT_TOL) -> bool:

@@ -84,6 +84,17 @@ def orth_basis(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return fix_signs(u[:, :rank_of(sv, tol)])
 
 
+def _unit_scaled(x: np.ndarray) -> np.ndarray:
+    """``x`` times the power of two that puts its largest magnitude in [0.5, 1).
+
+    The factor is exact, so ratios, rank decisions and directions keep their
+    bits (unless an entry falls into the subnormal range), while the squares
+    and products of the largest entries can neither overflow nor underflow.
+    An all-zero or empty ``x`` comes back as it is.
+    """
+    return np.ldexp(x, -np.frexp(np.max(np.abs(x), initial=0.0))[1])
+
+
 def spectral_norm(mat: np.ndarray) -> float:
     """Largest singular value; 0 for a matrix with no entries."""
     return float(spectral_norms(mat))

@@ -122,7 +122,7 @@ import numpy as np
 from .bisim import Subspace, largest_bisimulation
 from .core import Wfa, check_budget, checked_array, difference, discounted_sum, with_initial
 from .jsr import _as_square_stack, _decode_word, extend_products, wfa_spectral_radius
-from .linalg import max_spectral_norm, spectral_norm
+from .linalg import _unit_scaled, max_spectral_norm, spectral_norm
 
 DEFAULT_EPS = 1e-6
 DEFAULT_BUDGET = 1_000_000
@@ -224,7 +224,7 @@ def balance_scaling(mats) -> np.ndarray:
     n = stack.shape[1]
     if n == 0:
         return np.eye(0)
-    stack = np.ldexp(stack, -np.frexp(np.max(np.abs(stack)))[1])
+    stack = _unit_scaled(stack)
     d = np.ones(n)
     for _ in range(_BALANCE_ITERS):
         scaled = d[None, :, None] * stack / d[None, None, :]
@@ -266,7 +266,8 @@ def _certificates(stack: np.ndarray, depth: int):
     ``_PRODUCT_CAP`` products and at the first level that overflows.  Cost:
     O(k n^3) per scaling for the change of basis, plus k^m n-by-n products and
     their norms at each level m; each level is formed once, by extending the
-    one before it, and the level-1 maximum norm is ``K``.  Over a 0-dimensional space the one candidate is
+    one before it, and the level-1 maximum norm is ``K``.  Over a
+    0-dimensional space every product is empty, so every candidate has
     ``theta = 0``.
 
     The candidates are made as they are asked for.  The balancing scaling is
@@ -275,9 +276,6 @@ def _certificates(stack: np.ndarray, depth: int):
     computes it only when the identity certifies nothing.
     """
     n, k = stack.shape[1], stack.shape[0]
-    if n == 0:
-        yield TailBoundParams(theta=0.0, scaling=np.eye(0), block_len=1, step_norm=1.0)
-        return
     for s_mat in _candidate_scalings(stack):
         scaled = _conjugate(s_mat, stack)
         prods = np.eye(n)[None]
@@ -554,8 +552,6 @@ def distance_upper_bound(a1: Wfa, a2: Wfa, gamma: float) -> float:
     if a1.alphabet != a2.alphabet:
         raise ValueError("alphabet mismatch")
     _check_gamma(gamma)
-    if a1.dim == 0:
-        return 0.0
     stack1, stack2 = a1.trans_stack(), a2.trans_stack()
     stack = np.concatenate([stack1, stack2])
     candidates = _certificates(stack, 1)
@@ -587,8 +583,6 @@ def truncated_seminorm(a: Wfa, v: np.ndarray, gamma: float, depth: int) -> float
     _check_gamma(gamma)
     v = checked_array(v, "vector", (a.dim,))
     check_budget(depth, 0, "depth")
-    if a.dim == 0:
-        return 0.0
     stack = a.trans_stack()
     beta = a.beta
     states = v[None, :, None]

@@ -15,7 +15,8 @@ from wfametrics import (
     states_bisimilar,
     with_initial,
 )
-from wfametrics.linalg import null_basis, orth_basis
+from wfametrics.bisim import Subspace
+from wfametrics.linalg import DEFAULT_TOL, null_basis, orth_basis
 from conftest import all_words, duplicated_copy, random_wfa
 
 
@@ -252,6 +253,17 @@ class TestObservableReachable:
         assert is_reachable(with_initial(b, q @ rng.standard_normal(n)))
 
 
+class TestSubspace:
+    def test_basis_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="2-d array"):
+            Subspace(np.ones(3), DEFAULT_TOL)
+
+    def test_basis_must_be_orthonormal(self):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(np.ones((3, 1)), DEFAULT_TOL)
+        assert Subspace(np.eye(3)[:, :2], DEFAULT_TOL).dim == 2
+
+
 class TestReachableSubspace:
     def test_zero_alpha(self, rng):
         a = with_initial(random_wfa(rng, n=3), np.zeros(3))
@@ -336,6 +348,16 @@ class TestReachableSubspace:
 
 
 class TestMinimize:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_common_scale_changes_no_dimension(self, seed):
+        # at 2^-40 the images once fell below the unscaled cap and true states were dropped
+        a = random_wfa(np.random.default_rng(seed), n=4)
+        for e in (-40, 0, 40):
+            b = Wfa(alphabet=a.alphabet, alpha=a.alpha, beta=a.beta,
+                    trans={s: np.ldexp(m, e) for s, m in a.trans.items()})
+            assert minimize(b).dim == 4
+            assert largest_bisimulation(b).dim == 0
+
     def test_already_minimal_fixed_point(self):
         a = halving_automaton()
         m = minimize(a)

@@ -137,6 +137,14 @@ class TestBasicCommands:
         out = capsys.readouterr().out
         assert "lower 1.5" in out
         assert "upper 1.5" in out
+        assert "truncated" not in out
+
+    def test_jsr_prints_truncation(self, tmp_path, capsys):
+        path = tmp_path / "pair.json"
+        save_wfa(Wfa(alphabet=("a", "b"), alpha=[1.0, 0.0], beta=[1.0, 1.0],
+                     trans={"a": [[1.0, 1.0], [0.0, 1.0]], "b": [[1.0, 0.0], [1.0, 1.0]]}), str(path))
+        assert main(["jsr", str(path), "--depth", "4", "--budget", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "truncated true"
 
     def test_jsr_input_errors(self, growth_files, tmp_path, capsys):
         _, a1 = growth_files

@@ -13,7 +13,7 @@ from wfametrics import (
     with_final,
     with_initial,
 )
-from wfametrics.core import json_text, load_json, prefix_states, save_wfa
+from wfametrics.core import format_word, json_text, load_json, prefix_states, save_wfa
 from wfametrics.jsr import jsr_bounds
 from wfametrics.learn import hankel_from_wfa, perturbation_experiment, spectral_learn
 from wfametrics.metric import TailBoundParams, compute_tail_params, truncated_seminorm
@@ -253,6 +253,15 @@ def reference_all_words(alphabet, max_len):
         level = [w + (s,) for w in level for s in alphabet]
         words.extend(level)
     return words
+
+
+class TestFormatWord:
+    def test_single_characters_concatenate(self):
+        assert format_word(()) == "ε"
+        assert format_word(("a", "b", "a")) == "aba"
+
+    def test_longer_symbols_are_spaced(self):
+        assert format_word(("s1", "b", "s2")) == "s1 b s2"
 
 
 class TestAllWords:

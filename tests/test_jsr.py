@@ -18,6 +18,7 @@ from wfametrics import (
 from wfametrics import jsr
 from wfametrics.jsr import DEFAULT_NODE_BUDGET, extend_products
 from wfametrics.linalg import CAP_SLACK, spectral_norm, spectral_norms, spectral_radii
+from wfametrics.metric import balance_scaling
 from conftest import random_stochastic, random_wfa
 
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -281,6 +282,22 @@ class TestJsrBounds:
         pruned = jsr_bounds(CLASSIC_PAIR, depth=10, node_budget=4)
         assert pruned.truncated and jsr_bounds(CLASSIC_PAIR, depth=10, node_budget=4.0) == pruned
 
+    def test_symbols_are_one_distinct_label_per_matrix(self):
+        with pytest.raises(ValueError, match="one symbol per matrix"):
+            jsr_bounds([np.eye(2), np.eye(2)], depth=2, symbols=("a",))
+        # a repeated label would make the witness ambiguous
+        with pytest.raises(ValueError, match="symbols must be distinct"):
+            jsr_bounds([np.eye(2), np.eye(2)], depth=2, symbols=("a", "a"))
+        # the labels keep the order given, sorted or not
+        b = jsr_bounds([np.eye(2), 2.0 * np.eye(2)], depth=2, symbols=("b", "a"))
+        assert b.witness == ("a",)
+
+    def test_empty_family_is_named(self):
+        for call in (lambda: jsr_bounds([], depth=2), lambda: is_irreducible([]),
+                     lambda: hausdorff_distance([], [np.eye(2)]), lambda: balance_scaling([])):
+            with pytest.raises(ValueError, match="matrix family is empty"):
+                call()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_is_named(self, bad):
         mat = np.eye(2)
@@ -400,6 +417,15 @@ class TestWfaSpectralRadius:
 
 
 class TestIrreducible:
+    @pytest.mark.parametrize("scale", [1e60, 1e-60, 1e300, 1e-300])
+    def test_answer_holds_at_every_scale(self, scale):
+        # products of the raw matrices once overflowed at 1e60 and underflowed at 1e-60
+        rng = np.random.default_rng(1)
+        pair = [rng.standard_normal((4, 4)) for _ in range(2)]
+        assert is_irreducible(pair)
+        assert is_irreducible([scale * m for m in pair])
+        assert not is_irreducible([scale * np.eye(4), scale * np.diag([1.0, 2.0, 3.0, 4.0])])
+
     def test_identity_alone_reducible(self):
         assert not is_irreducible([np.eye(2)])
         assert not is_irreducible([np.eye(3)])

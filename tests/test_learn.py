@@ -13,7 +13,7 @@ from wfametrics import (
     perturbation_experiment,
     spectral_learn,
 )
-from wfametrics.learn import HankelBlock, block_from_dict, block_to_dict, consistency_residual
+from wfametrics.learn import HankelBlock, block_from_dict, block_to_dict
 from conftest import all_words, random_wfa
 
 
@@ -62,7 +62,12 @@ class TestHankelFromWfa:
         a = random_wfa(rng, n=3)
         words = all_words(a.alphabet, 2)
         block = hankel_from_wfa(a, words, words)
-        assert consistency_residual(block) <= 1e-12
+        index = {p: i for i, p in enumerate(block.prefixes)}
+        # for p = p' s, row p of H equals row p' of the block shifted by s
+        shifted = [(i, index[p[:-1]], p[-1]) for p, i in index.items() if p and p[:-1] in index]
+        assert len(shifted) == len(words) - 1
+        for i, head, sym in shifted:
+            np.testing.assert_allclose(block.h[i], block.hsig[sym][head], rtol=0, atol=1e-12)
 
     def test_requires_empty_word(self, rng):
         a = random_wfa(rng)
@@ -194,6 +199,13 @@ class TestPerturbationExperiment:
         with pytest.raises(ValueError, match=message):
             perturbation_experiment(a, words, words, scales, gamma=0.3, trials=trials)
 
+    def test_zero_function_has_nothing_to_learn(self, rng):
+        a = random_wfa(rng, n=2, norm_cap=0.7)
+        zero = Wfa(alphabet=a.alphabet, alpha=a.alpha, beta=np.zeros(2), trans=dict(a.trans))
+        words = all_words(a.alphabet, 2)
+        with pytest.raises(ValueError, match="computes the zero function"):
+            perturbation_experiment(zero, words, words, [1e-3], gamma=0.3)
+
     def test_deterministic_given_seed(self, rng):
         a = random_wfa(rng, n=2, norm_cap=0.7)
         words = all_words(a.alphabet, 2)
@@ -214,6 +226,19 @@ class TestBlockJson:
         assert np.array_equal(back.hp, block.hp)
         for sym in block.alphabet:
             assert np.array_equal(back.hsig[sym], block.hsig[sym])
+
+    def test_index_sets_need_the_empty_word(self):
+        doc = block_to_dict(hankel_from_wfa(growth_automaton(), [(), ("a",)], [(), ("a",)]))
+        with pytest.raises(ValueError, match="must both contain the empty word"):
+            block_from_dict({**doc, "prefixes": [["a"]], "H": doc["H"][1:], "hP": doc["hP"][1:],
+                             "Hsig": {"a": doc["Hsig"]["a"][1:]}})
+
+    @pytest.mark.parametrize("hsig", [{}, "extra"])
+    def test_shifted_blocks_cover_the_alphabet(self, hsig):
+        doc = block_to_dict(hankel_from_wfa(growth_automaton(), [()], [()]))
+        doc["Hsig"] = {**doc["Hsig"], "b": [[0.0]]} if hsig == "extra" else {}
+        with pytest.raises(ValueError, match="cover exactly the alphabet"):
+            block_from_dict(doc)
 
     @pytest.mark.parametrize("field,name", [
         ("H", "H"), ("Hsig", "Hsig['a']"), ("hP", "hP"), ("hS", "hS"),

@@ -230,6 +230,12 @@ class TestTailParams:
 
 
 class TestSeminormInterval:
+    def test_diverging_certificate_is_rejected(self, rng):
+        a = random_wfa(rng, n=2)
+        params = metric.TailBoundParams(2.0, np.eye(2), 1, 1.0)
+        with pytest.raises(CannotCertifyError, match="tail series diverges"):
+            seminorm_interval(a, a.alpha, 0.9, params=params)
+
     def test_zero_vector(self, rng):
         a = random_wfa(rng)
         iv = seminorm_interval(a, np.zeros(a.dim), gamma=0.5)

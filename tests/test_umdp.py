@@ -78,6 +78,16 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{match}.* has non-finite entries"):
             Umdp(actions=("a", "b"), gamma=0.9, **parts)
 
+    def test_trans_keys_must_be_the_actions(self):
+        with pytest.raises(ValueError, match="trans keys must match"):
+            Umdp(actions=("a",), alpha=[1.0], beta=[1.0], trans={"b": [[1.0]]}, gamma=0.9)
+
+    def test_kernel_entries_lie_in_unit_interval(self):
+        # the rows sum to 1, but 1.5 is no probability
+        with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+            Umdp(actions=("a",), alpha=[1.0, 0.0], beta=[1.0, 0.0],
+                 trans={"a": [[1.5, -0.5], [0.0, 1.0]]}, gamma=0.9)
+
     def test_rows_renormalized_exactly(self, rng):
         mat = random_stochastic(rng, 3)
         mat[0] = mat[0] * (1 + 5e-13)  # within tolerance, off machine-exact
@@ -159,6 +169,11 @@ class TestReduction:
 
 
 class TestSupValue:
+    @pytest.mark.parametrize("eps", [0.0, -1e-6, np.nan])
+    def test_eps_must_be_positive(self, rng, eps):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            umdp_sup_value_interval(random_umdp(rng), eps=eps)
+
     def test_single_action_resolvent_in_interval(self, rng):
         for _ in range(5):
             trans = random_stochastic(rng, 3)
