@@ -15,7 +15,12 @@ Tail bounds
 All bounds live in a working norm ``|v|_S = ||S v||_2`` for a well-conditioned
 scaling ``S``.  :func:`compute_tail_params` certifies a block growth rate:
 ``theta = (max over words x of length m of |tau_x|_S)^(1/m)`` with
-``gamma * theta < 1``.  The node bound below uses ``theta`` for its tail.
+``gamma * theta < 1``.  The node bound below uses ``theta`` for its tail,
+whose coefficient ``tau`` grows like ``(gamma*theta)^m / (1 -
+(gamma*theta)^m)`` as that nears 1.  Block norms fall toward the joint
+spectral radius as ``m`` grows, so from the first certificate the search
+takes ``m + 1`` with the same ``S`` while that level is small (``k^(m+1)
+n^2`` within 8,192 entries), certifies and has a smaller ``tau``.
 
 Node bound
 ----------
@@ -55,7 +60,7 @@ levels exactly and the rest from the certificate:
     tau = (sum_{J-m<j<=J} gamma^j d_j) (gamma*theta)^m / (1 - (gamma*theta)^m),
 
 with ``d_j = max_{|x|=j} ||S^-T c_x||_2``, the largest dual norm on level
-``j``, and ``J >= m``.  The tail holds because putting a block of ``m``
+``j``, and ``J >= m`` (see below).  The tail holds because putting a block of ``m``
 symbols in front of a word multiplies its covector by a block product's
 transpose, so ``d_{j+m} <= theta^m d_j``: each level past ``J`` is bounded by
 one of the last ``m`` levels, ``(gamma*theta)^m`` smaller per block.  The
@@ -63,7 +68,10 @@ one of the last ``m`` levels, ``(gamma*theta)^m`` smaller per block.  The
 :func:`~wfametrics.jsr.extend_products` on the transposed stack, as
 ``gamma^j c_x``, whose norms fall by ``(gamma*theta)^m`` per block and so do
 not overflow past level ``m``.  ``J`` is the most levels, up to 64, that
-keep ``n * N`` within 8,192, but at least ``m``.
+keep ``n * N`` within 8,192, but at least ``m``.  A block length that
+:func:`compute_tail_params` reached by lengthening has ``k^m n^2`` within
+8,192 and ``k^m`` within 4,096, so that cap alone gives ``J >= m``: the
+head, and so the cost of a node, is that of the first certificate.
 
 Let ``W`` be the largest bisimulation subspace, ``C`` the Q factor of ``S``
 times ``W``'s basis and ``Q = S^-1 C C^T S`` the projector onto ``W`` that is
@@ -263,7 +271,8 @@ def _certificates(stack: np.ndarray, depth: int):
     For each of :func:`_candidate_scalings`, yields the ``TailBoundParams`` of
     block lengths ``1..depth``.  Level 1 is the input matrices themselves and
     is always formed; the walk stops before a level m >= 2 of more than
-    ``_PRODUCT_CAP`` products and at the first level that overflows.  Cost:
+    ``_PRODUCT_CAP`` products, and after the first level that overflows,
+    which it yields with ``theta = inf`` (it certifies nothing).  Cost:
     O(k n^3) per scaling for the change of basis, plus k^m n-by-n products and
     their norms at each level m; each level is formed once, by extending the
     one before it, and the level-1 maximum norm is ``K``.  Over a
@@ -272,8 +281,9 @@ def _certificates(stack: np.ndarray, depth: int):
 
     The candidates are made as they are asked for.  The balancing scaling is
     computed only once the identity's levels are used up, so a caller that
-    stops at the first certificate that holds (:func:`compute_tail_params`)
-    computes it only when the identity certifies nothing.
+    stops within the identity's levels (:func:`compute_tail_params` does,
+    once one of them certifies) computes it only when the identity certifies
+    nothing.
     """
     n, k = stack.shape[1], stack.shape[0]
     for s_mat in _candidate_scalings(stack):
@@ -283,13 +293,14 @@ def _certificates(stack: np.ndarray, depth: int):
             if m > 1 and k**m > _PRODUCT_CAP:
                 break
             prods = extend_products(scaled, prods)
-            if not np.isfinite(prods).all():  # an overflowing level certifies nothing
-                break
-            top = max_spectral_norm(prods)
+            finite = np.isfinite(prods).all()
+            top = max_spectral_norm(prods) if finite else math.inf
             if m == 1:
                 step = top
             theta = top ** (1.0 / m)
             yield TailBoundParams(theta=theta, scaling=s_mat, block_len=m, step_norm=max(1.0, step))
+            if not finite:
+                break
 
 
 def compute_tail_params(a: Wfa, gamma: float, depth: int = 8) -> TailBoundParams:
@@ -297,19 +308,84 @@ def compute_tail_params(a: Wfa, gamma: float, depth: int = 8) -> TailBoundParams
 
     Tries the identity scaling first, then a diagonal balancing scaling, with
     block lengths ``1..depth`` (for m >= 2, capped so no more than 4096
-    length-m products are formed), and returns the first that certifies.  Raises
+    length-m products are formed), up to the first certificate ``(S, m)``.
+    Then it takes ``m + 1`` with the same ``S`` while ``k^(m+1) n^2`` is
+    within 8,192 entries (and ``m + 1`` within ``depth``, the product cap
+    and 64), ``m + 1`` certifies and its tail coefficient ``tau`` (see "Node
+    bound" in the module docstring) is strictly smaller, and returns the
+    last one taken.  ``tau`` is computed, by the node bound's own helpers,
+    only when two certificates are compared.  Raises
     :class:`CannotCertifyError` if nothing certifies; the discount may still
     be admissible at higher depth.
     """
     _check_gamma(gamma)
     check_budget(depth, 1, "depth")
-    for params in _certificates(a.trans_stack(), int(depth)):
-        if gamma * params.theta < 1.0 - _CERT_MARGIN:
-            return params
-    raise CannotCertifyError(
-        f"could not certify gamma * theta < 1 for gamma={gamma} "
-        f"within block length {depth}; try a larger depth or smaller gamma"
-    )
+    n, k, depth = a.dim, len(a.alphabet), int(depth)
+
+    def certifies(params: TailBoundParams) -> bool:
+        return gamma * params.theta < 1.0 - _CERT_MARGIN
+
+    def tau(params: TailBoundParams) -> float:
+        m = params.block_len
+        return _tail_coefficient(dual_norms, m, (gamma * params.theta) ** m)[0]
+
+    candidates = _certificates(a.trans_stack(), depth)
+    best = next(filter(certifies, candidates), None)
+    if best is None:
+        raise CannotCertifyError(
+            f"could not certify gamma * theta < 1 for gamma={gamma} "
+            f"within block length {depth}; try a larger depth or smaller gamma"
+        )
+    # Within these caps the next level is the same scaling's, and the node
+    # bound's head has at least m + 1 levels, so every candidate shares it.
+    dual_norms = best_tau = None
+    m = best.block_len + 1
+    while m <= min(depth, _COVECTOR_LEVELS) and k**m <= _PRODUCT_CAP and k**m * n * n <= _COVECTOR_WORK:
+        params = next(candidates)
+        if not certifies(params):
+            break
+        if dual_norms is None:
+            with np.errstate(over="ignore"):
+                dual_norms = _dual_norms(_covector_levels(a, gamma, m), np.linalg.inv(best.scaling))
+            best_tau = tau(best)
+        new_tau = tau(params)
+        if not new_tau < best_tau:
+            break
+        best, best_tau, m = params, new_tau, m + 1
+    return best
+
+
+def _covector_levels(a: Wfa, gamma: float, m: int) -> list[np.ndarray]:
+    """``levels[j]`` holds ``gamma^j c_x`` for the words ``x`` of length ``j = 0..J``, as ``(k^j, n, 1)``.
+
+    ``J`` is the most levels, up to ``_COVECTOR_LEVELS``, that keep ``n * N``
+    within ``_COVECTOR_WORK``, but at least ``m``.
+    """
+    n, k = a.dim, len(a.alphabet)
+    stack_t = gamma * a.trans_stack().transpose(0, 2, 1)
+    levels, count = [a.beta[None, :, None]], 0
+    while len(levels) <= m or (
+        len(levels) <= _COVECTOR_LEVELS and max(n, 1) * (count + k ** len(levels)) <= _COVECTOR_WORK
+    ):
+        levels.append(extend_products(stack_t, levels[-1]))
+        count += len(levels[-1])
+    return levels
+
+
+def _dual_norms(levels: list[np.ndarray], s_inv: np.ndarray) -> list[float]:
+    """``d_j = max_{|x|=j} ||S^-T gamma^j c_x||_2`` for the covector ``levels`` ``j = 1..J``."""
+    rows = np.concatenate([level[:, :, 0] for level in levels[1:]]) @ s_inv
+    starts = np.cumsum([0] + [len(level) for level in levels[1:-1]])
+    return np.maximum.reduceat(np.linalg.norm(rows, axis=1), starts).tolist()
+
+
+def _tail_coefficient(dual_norms: list[float], m: int, gtm: float) -> tuple[float, float]:
+    """``(tau, tail)`` of the node bound for block length ``m`` and ``gtm = (gamma*theta)^m < 1``.
+
+    ``tail`` sums the last ``m`` of ``dual_norms`` and ``tau = tail gtm / (1 - gtm)``.
+    """
+    tail = sum(dual_norms[-m:])
+    return tail * gtm / (1.0 - gtm), tail
 
 
 class NodeBound(Protocol):
@@ -331,25 +407,16 @@ class _BoundData:
     """
 
     def __init__(self, a: Wfa, gamma: float, params: TailBoundParams, kernel: Subspace | None):
-        n, k = a.dim, len(a.alphabet)
+        n = a.dim
         m, theta = params.block_len, params.theta
         gtm = (gamma * theta) ** m
         if gtm >= 1.0:
             raise CannotCertifyError(f"tail series diverges: (gamma*theta)^m = {gtm}")
         s_mat, stack = params.scaling, a.trans_stack()
         s_inv = np.linalg.inv(s_mat)
-        # levels[j] holds gamma^j c_x for the words x of length j = 0..J
-        stack_t = gamma * stack.transpose(0, 2, 1)
-        levels, count = [a.beta[None, :, None]], 0
-        while len(levels) <= m or (
-            len(levels) <= _COVECTOR_LEVELS and max(n, 1) * (count + k ** len(levels)) <= _COVECTOR_WORK
-        ):
-            levels.append(extend_products(stack_t, levels[-1]))
-            count += len(levels[-1])
+        levels = _covector_levels(a, gamma, m)
         covectors = np.concatenate([level[:, :, 0] for level in levels[1:]])
-        duals = [level[:, :, 0] @ s_inv for level in levels[-m:]]  # rows gamma^j S^-T c_x
-        tail = sum(float(np.max(np.linalg.norm(rows, axis=1))) for rows in duals)
-        tau = tail * gtm / (1.0 - gtm)
+        tau, tail = _tail_coefficient(_dual_norms(levels, s_inv), m, gtm)
         maps, coeffs = [s_mat], [tau]
         if kernel is not None and kernel.dim:
             c_mat = np.linalg.qr(s_mat @ kernel.basis)[0]  # S Q S^-1 = C C^T
@@ -362,10 +429,11 @@ class _BoundData:
                 into_w = extend_products(stack, into_w)
             escape = max_spectral_norm(out_w @ into_w)
             rate = min(gtm, gamma**m * max_spectral_norm(in_w @ into_w))
+            duals = [level[:, :, 0] @ s_inv for level in levels[-m:]]  # rows gamma^j S^-T c_x
             e_sum = sum(float(np.max(np.linalg.norm(rows @ c_mat, axis=1))) for rows in duals)
             tau_w = (rate * e_sum + gamma**m * escape * tail / (1.0 - gtm)) / (1.0 - rate)
             maps, coeffs = [out_w, in_w], [tau, tau_w]
-        self.beta, self.count = a.beta, count
+        self.beta, self.count = a.beta, len(covectors)
         self.level_starts = np.cumsum([0] + [len(level) for level in levels[1:-1]])
         self.cols = np.hstack([covectors.T] + [mat.T for mat in maps])
         self.norm_starts, self.norm_coeffs = n * np.arange(len(maps)), np.array(coeffs)

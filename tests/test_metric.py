@@ -15,6 +15,7 @@ from wfametrics import (
     distance,
     distance_upper_bound,
     evaluate,
+    jsr_bounds,
     largest_bisimulation,
     minimize,
     parameter_continuity_experiment,
@@ -76,10 +77,19 @@ SKEWED = Wfa(
 
 
 def reference_tail_params(a, gamma, depth=8, product_cap=4096):
-    """From-scratch certificate search, or None when nothing certifies.
+    """From-scratch certificate search with the lengthening rule, or None when nothing certifies.
 
-    Conjugates each matrix explicitly, rebuilds every product level from the
-    identity and takes K from the level-1 maximum norm.
+    The first certificate is the first ``(S, m)`` with ``gamma * theta <
+    1 - 1e-12``: the identity before the balanced scaling, ``m = 1..depth``
+    (``m >= 2`` only while ``k^m <= product_cap``).  From there ``m + 1`` of
+    the same ``S`` is taken while ``m + 1 <= min(depth, 64)``, ``k^(m+1) <=
+    product_cap``, ``k^(m+1) n^2 <= 8192``, it certifies and its ``tau`` is
+    strictly smaller.  Conjugates each matrix explicitly, rebuilds every
+    product level from the identity with einsum, takes ``theta`` from full
+    SVDs and ``tau`` from the covectors ``gamma^j T_x^T beta`` of every word,
+    over the last ``m`` of ``J`` levels (the most, up to 64, with ``n * N <=
+    8192``, but at least ``m``).  Returns ``(theta, m, step_norm, S, tau)``
+    with the ``tau`` of the first certificate when nothing is lengthened.
     """
     stack = a.trans_stack()
     k, n = stack.shape[0], a.dim
@@ -87,19 +97,49 @@ def reference_tail_params(a, gamma, depth=8, product_cap=4096):
     balanced = balance_scaling(stack)
     if not np.allclose(balanced, np.eye(n)):
         candidates.append(balanced)
+
+    def level(mats, m):
+        prods = np.eye(n)[None]
+        for _ in range(m):
+            prods = np.einsum("gij,pjk->pgik", mats, prods).reshape(-1, n, n)
+        return prods
+
+    def theta(scaled, m):
+        return float(np.max(np.linalg.svd(level(scaled, m), compute_uv=False)[:, 0])) ** (1.0 / m)
+
+    head, count = 0, 0
+    while head < 64 and max(n, 1) * (count + k ** (head + 1)) <= 8192:
+        head += 1
+        count += k**head
+
+    def tau(s_mat, rate, m):
+        top = max(head, m)
+        gtm = (gamma * rate) ** m
+        tail = 0.0
+        for j in range(top - m + 1, top + 1):
+            covectors = gamma**j * np.einsum("pji,j->pi", level(stack, j), a.beta)
+            tail += float(np.max(np.linalg.norm(covectors @ np.linalg.inv(s_mat), axis=1)))
+        return tail * gtm / (1.0 - gtm)
+
     for s_mat in candidates:
         scaled = np.stack([s_mat @ t @ np.linalg.inv(s_mat) for t in stack])
-        tops = []
         for m in range(1, depth + 1):
-            if k**m > product_cap:
+            if m > 1 and k**m > product_cap:
                 break
-            prods = np.eye(n)[None]
-            for _ in range(m):
-                prods = np.einsum("gij,pjk->pgik", scaled, prods).reshape(-1, n, n)
-            tops.append(float(np.max(np.linalg.svd(prods, compute_uv=False)[:, 0])))
-            theta = tops[-1] ** (1.0 / m) if tops[-1] > 0 else 0.0
-            if gamma * theta < 1.0 - 1e-12:
-                return theta, m, max(1.0, tops[0]), s_mat
+            best = (theta(scaled, m), m)
+            if not gamma * best[0] < 1.0 - 1e-12:
+                continue
+            best_tau = tau(s_mat, *best)
+            while m < min(depth, 64) and k ** (m + 1) <= product_cap and k ** (m + 1) * n * n <= 8192:
+                m += 1
+                next_theta = theta(scaled, m)
+                if not gamma * next_theta < 1.0 - 1e-12:
+                    break
+                next_tau = tau(s_mat, next_theta, m)
+                if not next_tau < best_tau:
+                    break
+                best, best_tau = (next_theta, m), next_tau
+            return best[0], best[1], max(1.0, theta(scaled, 1)), s_mat, best_tau
     return None
 
 
@@ -114,13 +154,14 @@ def _stochastic():
 
 
 TAIL_CASES = {
-    # (automaton, gamma, depth, product_cap, expected (block_len, balanced) or "raises")
-    "identity-m1": (_bounded(0.8), 1.0, 8, 4096, (1, False)),
-    "identity-m4": (_stochastic(), 0.97, 10, 4096, (4, False)),
-    "balanced-m5": (_stochastic(), 0.99, 10, 4096, (5, True)),
-    "balanced-m2": (SKEWED, 1.45, 4, 4096, (2, True)),
-    "identity-m7-uncapped": (SKEWED, 1.0, 8, 4096, (7, False)),
-    "product-cap-break": (SKEWED, 1.0, 8, 64, (1, True)),
+    # name (the first certificate): (automaton, gamma, depth, product_cap,
+    # expected (block_len, balanced) after lengthening, or "raises")
+    "identity-m1": (_bounded(0.8), 1.0, 8, 4096, (5, False)),
+    "identity-m4": (_stochastic(), 0.97, 10, 4096, (9, False)),
+    "balanced-m5": (_stochastic(), 0.99, 10, 4096, (9, True)),
+    "balanced-m2": (SKEWED, 1.45, 4, 4096, (3, True)),
+    "identity-m7-uncapped": (SKEWED, 1.0, 8, 4096, (8, False)),
+    "product-cap-break": (SKEWED, 1.0, 8, 64, (3, True)),
     "cannot-certify": (SKEWED, 1.45, 4, 2, "raises"),
 }
 
@@ -145,9 +186,12 @@ class TestTailParams:
             assert len(balanced) == 1
             return
         params = compute_tail_params(a, gamma, depth)
-        theta, block_len, step_norm, scaling = ref
-        assert params.theta == theta
+        theta, block_len, step_norm, scaling, tau = ref
+        # the einsum and matmul levels of m >= 2 may differ in the last bits
+        assert params.theta == pytest.approx(theta, rel=1e-14, abs=0.0)
         assert params.block_len == block_len
+        # the tau that ranked the certificates is the one the node bound uses
+        assert _BoundData(a, gamma, params, None).norm_coeffs[0] == pytest.approx(tau, rel=1e-12, abs=0.0)
         assert params.step_norm == step_norm
         assert np.array_equal(params.scaling, scaling)
         assert (block_len, not np.array_equal(scaling, np.eye(a.dim))) == expected
@@ -196,11 +240,16 @@ class TestTailParams:
             balance_scaling([mat, np.eye(2)])
 
     def test_single_step_identity_accepted(self, rng):
+        # the identity certifies at m = 1 with theta = 0.8; every longer block of
+        # it up to the depth certifies with a smaller tau, so the walk ends at 8
         a = random_wfa(rng, norm_cap=0.8)
+        first = next(metric._certificates(a.trans_stack(), 8))
+        assert first.block_len == 1
+        assert first.theta == pytest.approx(0.8, abs=1e-12)
         params = compute_tail_params(a, gamma=1.0)
-        assert params.block_len == 1
+        assert params.block_len == 8
         assert np.array_equal(params.scaling, np.eye(a.dim))
-        assert params.theta == pytest.approx(0.8, abs=1e-12)
+        assert params.theta < first.theta
 
     def test_growth_pair_certificate(self):
         a1, a2 = growth_pair(2)
@@ -227,6 +276,92 @@ class TestTailParams:
         a = Wfa(alphabet=("a",), alpha=[1.0, 0.0], beta=[1.0, 1.0], trans={"a": np.eye(2)})
         with pytest.raises(CannotCertifyError):
             compute_tail_params(a, gamma=1.5, depth=6)
+
+
+def first_certificate(a, gamma, depth=8):
+    """The first certifying candidate of the search, which the walk lengthens."""
+    return next(p for p in metric._certificates(a.trans_stack(), depth)
+                if gamma * p.theta < 1.0 - metric._CERT_MARGIN)
+
+
+def bound_tau(a, gamma, params):
+    """The tail coefficient of the generic node bound built on ``params``."""
+    return float(_BoundData(a, gamma, params, None).norm_coeffs[0])
+
+
+def sweep_case(rng):
+    """A hard-sweep instance: n 2-5, k 1-3, gamma in U(.3, .85), Gaussian matrices over their JSR lower bound."""
+    n, k, gamma = int(rng.integers(2, 6)), int(rng.integers(1, 4)), rng.uniform(0.3, 0.85)
+    mats = [rng.standard_normal((n, n)) for _ in range(k)]
+    scale = jsr_bounds(mats, 6).lower
+    syms = ("a", "b", "c")[:k]
+    a = Wfa(alphabet=syms, alpha=rng.standard_normal(n), beta=rng.standard_normal(n),
+            trans={s: m / scale for s, m in zip(syms, mats)})
+    return a, gamma
+
+
+class TestLengthenedCertificate:
+    def test_next_level_past_the_work_cap_keeps_the_first_certificate(self, monkeypatch):
+        # k^2 n^2 = 19,600 > 8,192: no level past the first is compared, so tau is never computed
+        a = random_wfa(np.random.default_rng(70), n=70, norm_cap=0.9)
+        calls = []
+
+        def counting_tail(*args):
+            calls.append(args)
+            return tail_coefficient(*args)
+
+        tail_coefficient = metric._tail_coefficient
+        monkeypatch.setattr(metric, "_tail_coefficient", counting_tail)
+        params, first = compute_tail_params(a, 0.9), first_certificate(a, 0.9)
+        assert calls == []
+        assert (params.theta, params.block_len, params.step_norm) == (first.theta, 1, first.step_norm)
+        assert np.array_equal(params.scaling, first.scaling)
+
+    def test_overflowing_next_level_ends_the_walk_without_balancing(self, monkeypatch):
+        # level 1 certifies (gamma * theta = 0.16); level 2 holds 1e320 = inf and ends the walk
+        a = Wfa(alphabet=("a",), alpha=[1.0, 0.0], beta=[1.0, 1.0], trans={"a": 1e160 * np.triu(np.ones((2, 2)))})
+        calls = []
+        monkeypatch.setattr(metric, "balance_scaling", lambda mats: calls.append(mats) or np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = compute_tail_params(a, 1e-161)
+        assert (params.block_len, calls) == (1, [])
+        assert np.array_equal(params.scaling, np.eye(2))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(n=st.integers(1, 8), k=st.integers(1, 3), gamma=st.floats(0.3, 0.99),
+           norm_cap=st.floats(0.5, 1.5), seed=st.integers(0, 2**32 - 1))
+    def test_walk_lengthens_while_tau_falls(self, n, k, gamma, norm_cap, seed):
+        """The result certifies, has at most the first certificate's tau, and the next level would not pay."""
+        a = random_wfa(np.random.default_rng(seed), n=n, alphabet=("a", "b", "c")[:k], norm_cap=norm_cap)
+        try:
+            params = compute_tail_params(a, gamma)
+        except CannotCertifyError:
+            return
+        first = first_certificate(a, gamma)
+        assert gamma * params.theta < 1.0 - metric._CERT_MARGIN
+        assert np.array_equal(params.scaling, first.scaling)
+        assert params.block_len >= first.block_len
+        tau = bound_tau(a, gamma, params)
+        assert tau <= bound_tau(a, gamma, first)
+        m = params.block_len + 1
+        if m <= 8 and k**m <= metric._PRODUCT_CAP and k**m * n * n <= metric._COVECTOR_WORK:
+            following = next(p for p in metric._certificates(a.trans_stack(), m)
+                             if p.block_len == m and np.array_equal(p.scaling, params.scaling))
+            if gamma * following.theta < 1.0 - metric._CERT_MARGIN:
+                assert bound_tau(a, gamma, following) >= tau
+
+    def test_sweep_expands_no_more_nodes_than_the_first_certificate(self):
+        rng = np.random.default_rng(3)
+        lengthened = first_fit = 0
+        for _ in range(40):
+            a, gamma = sweep_case(rng)
+            got = seminorm_interval(a, a.alpha, gamma, budget=5000)
+            ref = seminorm_interval(a, a.alpha, gamma, budget=5000, params=first_certificate(a, gamma))
+            assert got.nodes_expanded <= ref.nodes_expanded
+            lengthened += got.nodes_expanded
+            first_fit += ref.nodes_expanded
+        assert lengthened < first_fit
 
 
 class TestSeminormInterval:
