@@ -53,9 +53,9 @@ print("\nUMDP value vs automaton sum on", word, ":", round(lhs, 12), round(rhs, 
 iv = umdp_sup_value_interval(u, eps=1e-4)
 print("\nsup value bracket:", (round(iv.lower, 6), round(iv.upper, 6)))
 print("best action prefix found:", " ".join(iv.witness_prefix[:8]), "...")
-# the lower end is a lasso (a prefix, then one action forever) written out
-# until its dropped tail is worth at most eps / 100, so the witness is
-# longer than the search went deep
+# the lower end is a lasso (a prefix, then a short action loop forever)
+# written out until its dropped tail is worth at most eps / 100, so the
+# witness is longer than the search went deep
 print(f"witness length {len(iv.witness_prefix)}, search depth {iv.depth_explored}")
 
 # single-action chains have a closed form to compare against

@@ -41,33 +41,45 @@ transposed kernels have joint spectral radius 1 and its certificate needs
 Lasso lower bound
 -----------------
 Every infinite action sequence has a value at most the sup, so besides the
-finite prefixes the search scores lassos: a prefix, then one action ``c``
-forever.  From a distribution ``u`` that lasso is worth ``u . v_c`` with
-``v_c = (I - gamma K_c)^-1 beta``, and the node bound returns these values
-with its other products (see "Node bound" in :mod:`wfametrics.metric`).
-The closed form is rounded, so it only ranks lassos and closes the gap test
-less a margin.  At exit the best lasso is written out as the prefix followed
-by ``c`` up to ``L`` actions in all, with ``L`` the smallest length at which
-``gamma^(L+1) max(beta) / (1 - gamma)``, the most the dropped tail can be
-worth, is at most ``eps / 100``.  That word's forward-summed truncated value
-becomes ``lower`` when it beats the best prefix, and the word becomes
-``witness_prefix``, so the witness can be much longer than
-``depth_explored``.  ``L`` grows like ``1 / (1 - gamma)``; when it exceeds
-``_LASSO_LENGTH_CAP`` the search scores prefixes only.
+finite prefixes the search scores lassos: a prefix, then an action loop ``c``
+repeated forever.  From a distribution ``u`` that lasso is worth ``u . v_c``
+with ``v_c = (I - gamma^p K_c)^-1 R_c`` for a loop of ``p`` actions, where
+``K_c`` is the kernel product along the loop and ``R_c`` the discounted
+reward of one pass through it.  The loops are formed before the search, level
+by level with :func:`~wfametrics.jsr.extend_products`: every loop of
+``p`` actions while a level holds at most ``_LOOP_ENTRIES`` matrix entries
+(``k^p n^2``) and all levels at most ``_LOOP_COUNT`` loops.  Only level 1
+is formed when ``k = 1`` (a longer loop of one action repeats it) or when
+level 2 would pass a cap.  The one-action loops of level 1,
+``(I - gamma K_c)^-1 beta``, are the lassos the node bound returns with its
+other products at every node (see "Node bound" in :mod:`wfametrics.metric`),
+and its alpha-set starts from them.  After the search every lasso whose
+prefix is a prefix of the returned witness (the empty one included) and
+whose loop is any formed loop is scored as well.  The closed form is
+rounded, so it only ranks lassos and closes the gap test less a margin.  The best lasso is written out as
+the prefix followed by the loop up to ``L`` actions in all, with ``L`` the
+smallest length at which ``gamma^(L+1) max(beta) / (1 - gamma)``, the most
+the dropped tail can be worth, is at most ``eps / 100``.  That word's
+forward-summed truncated value becomes ``lower`` when it beats the best so
+far, and the word becomes ``witness_prefix``, so the witness can be much
+longer than ``depth_explored``; ``converged`` is judged on that ``lower``.
+``L`` grows like ``1 / (1 - gamma)``; when it exceeds ``_LASSO_LENGTH_CAP``
+the search scores prefixes only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .core import (
     Wfa, check_budget, check_document, check_size, checked_array, checked_symbols, discounted_sum,
-    load_json, matrix_map, save_json, symbol_list,
+    load_json, matrix_map, prefix_states, save_json, symbol_list,
 )
+from .jsr import _decode_word, extend_products
 from .metric import DEFAULT_BUDGET, DEFAULT_EPS, CannotCertifyError, CertifiedInterval, seminorm_interval
 
 _STOCHASTIC_TOL = 1e-12
@@ -75,6 +87,10 @@ _STOCHASTIC_TOL = 1e-12
 _POLICY_ITERATIONS = 100
 # longest written-out lasso; beyond it (gamma near 1) the search scores prefixes only
 _LASSO_LENGTH_CAP = 4096
+# lasso loops: at most this many matrix entries (k^p n^2) in one level of loops of p actions ...
+_LOOP_ENTRIES = 1 << 15
+# ... and at most this many loops over all levels
+_LOOP_COUNT = 512
 
 
 @dataclass(frozen=True)
@@ -158,9 +174,14 @@ def umdp_sup_value_interval(
     """Certified bracket for the sup over action sequences of the value of ``u``.
 
     The search uses the alpha-vector node bound and the lasso lower bound of
-    the module docstring.  Raises ``ValueError`` when ``max(beta) / (1 - gamma)``
-    overflows, ``eps`` is not positive or ``budget`` is not a non-negative
-    integer, all before the alpha-set is built, and
+    the module docstring: at every node it scores the prefix followed by one
+    action forever, and after the search the prefixes of the witness followed
+    by any action loop of up to ``p`` actions (``p`` from the entry and count
+    caps, 1 for a single action).  The node count does not depend on the
+    longer loops; only ``lower``, ``witness_prefix`` and ``converged`` can.
+    Raises ``ValueError`` when ``max(beta) / (1 - gamma)`` overflows, ``eps``
+    is not positive or ``budget`` is not a non-negative integer, all before
+    the alpha-set is built, and
     :class:`~wfametrics.metric.CannotCertifyError` when the alpha-set fails its check.
     """
     if not eps > 0:
@@ -169,18 +190,88 @@ def umdp_sup_value_interval(
     top = float(np.max(u.beta)) / (1.0 - u.gamma)
     if not np.isfinite(top):
         raise ValueError(f"the value bound max(beta) / (1 - gamma) = {top} overflows")
-    stationary = _stationary_values(u)
-    lassos = ()  # no lasso rows
+    k, n = len(u.actions), u.num_states
+    length = None  # the written-out lasso length L, or None without lassos
     if top > 0:  # with zero rewards every lasso is worth 0
         # the smallest L with gamma^(L+1) * top <= eps / 100
         steps = (math.log(eps) - math.log(100.0) - math.log(top)) / math.log(u.gamma)
         length = max(0, math.ceil(max(steps, 0.0)) - 1)
-        if length <= _LASSO_LENGTH_CAP:
-            margin = eps / 100 + (length + 2 / (1 - u.gamma)) * _rounding_slack(u.num_states, top)
-            lassos = (stationary, length, margin)
+        if length > _LASSO_LENGTH_CAP:
+            length = None
+    loops = _loop_values(u, 1 if length is None else _longest_loop(k, n))
+    stationary = loops[:k]
+    lassos = ()  # no lasso rows
+    if length is not None:
+        margin = eps / 100 + (length + 2 / (1 - u.gamma)) * _rounding_slack(n, top)
+        lassos = (stationary, length, margin)
     a = umdp_to_wfa(u)
     bound = _AlphaVectorBound(_alpha_vectors(u, stationary, top), u.beta, *lassos)
-    return seminorm_interval(a, a.alpha, u.gamma, eps, budget, node_bound=bound)
+    iv = seminorm_interval(a, a.alpha, u.gamma, eps, budget, node_bound=bound)
+    if length is None:
+        return iv
+    return _with_best_loop(a, u.gamma, eps, iv, loops, length)
+
+
+def _longest_loop(k: int, n: int) -> int:
+    """Longest loop length ``p`` within ``_LOOP_ENTRIES`` and ``_LOOP_COUNT``; 1 when ``k = 1``."""
+    p, count = 1, k
+    while k > 1 and k ** (p + 1) * n * n <= _LOOP_ENTRIES and count + k ** (p + 1) <= _LOOP_COUNT:
+        p, count = p + 1, count + k ** (p + 1)
+    return p
+
+
+def _loop_values(u: Umdp, longest: int) -> np.ndarray:
+    """Rows ``(I - gamma^p K_c)^-1 R_c``, the value of repeating loop ``c`` forever, for ``|c| <= longest``.
+
+    Loops are in order of length, then in lexicographic order of the
+    actions' positions, so row ``c`` of the first ``k`` is action ``c``
+    repeated.  The level of ``p`` actions holds the transposed products
+    ``K_c^T`` as :func:`~wfametrics.jsr.extend_products` forms them, and
+    ``R_c = sum_{j<p} gamma^j K_{c<=j} beta`` grows from the level before.
+    """
+    gens = np.stack([u.trans[act].T for act in u.actions])
+    k, n = gens.shape[:2]
+    eye = np.eye(n)
+    prods, passes, systems, rhs = eye[None], np.zeros((1, n)), [], []
+    for p in range(1, longest + 1):
+        # R_{xs} = R_x + gamma^(p-1) K_x beta for each action s appended to x
+        passes = np.repeat(passes + u.gamma ** (p - 1) * (u.beta @ prods), k, axis=0)
+        prods = extend_products(gens, prods)
+        systems.append(eye - u.gamma**p * prods.transpose(0, 2, 1))
+        rhs.append(passes)
+    return _solve(np.concatenate(systems), np.concatenate(rhs)[..., None])[..., 0]
+
+
+def _with_best_loop(a: Wfa, gamma: float, eps: float, iv: CertifiedInterval, loops: np.ndarray,
+                    length: int) -> CertifiedInterval:
+    """``iv`` with the best lasso on a prefix of its witness written out, when that beats ``lower``.
+
+    See "Lasso lower bound" in the module docstring; ``loops`` are the rows
+    of :func:`_loop_values` and ``length`` is ``L``.
+    """
+    stem = iv.witness_prefix
+    states = prefix_states(a, stem)
+    gpows = gamma ** np.arange(len(stem) + 1)
+    rewards = gpows * (states @ a.beta)
+    values = states @ loops.T
+    rows = values.argmax(axis=1)  # the best loop after each prefix
+    scores = gpows * values.max(axis=1)
+    scores[1:] += np.cumsum(rewards[:-1])
+    t = int(np.argmax(scores))
+    row = int(rows[t])
+    k, p = len(a.alphabet), 1
+    while row >= k**p:
+        row, p = row - k**p, p + 1
+    loop = _decode_word(p, row, a.alphabet)
+    tail = max(length - t, 0)
+    word = stem[:t] + (loop * (tail // p + 1))[:tail]
+    if word == stem:  # the witness is that lasso already
+        return iv
+    value = discounted_sum(a, word, gamma)
+    if not value > iv.lower:
+        return iv
+    return replace(iv, lower=value, upper=max(iv.upper, value), witness_prefix=word,
+                   converged=iv.converged or iv.upper - value <= eps)
 
 
 def _backup(kernels: np.ndarray, beta: np.ndarray, gamma: float, alphas: np.ndarray) -> np.ndarray:
@@ -211,17 +302,12 @@ def _solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise CannotCertifyError("I - gamma P is singular in floating point; try a smaller gamma") from None
 
 
-def _stationary_values(u: Umdp) -> np.ndarray:
-    """Row ``c`` is ``(I - gamma K_c)^-1 beta``, the value of repeating action ``c`` forever."""
-    eye = np.eye(u.num_states)
-    return np.array([_solve(eye - u.gamma * u.trans[act], u.beta) for act in u.actions])
-
-
 def _alpha_vectors(u: Umdp, alphas: np.ndarray, top: float) -> np.ndarray:
     """Alpha-set rows (one per action) that pass :func:`_is_supersolution`, or an error.
 
-    Policy iteration on the ``(a, s)`` pairs, from the :func:`_stationary_values`
-    ``alphas``; ``top`` is ``max(beta) / (1 - gamma)``.  See the module docstring.
+    Policy iteration on the ``(a, s)`` pairs, from the one-action loop values
+    ``alphas`` of :func:`_loop_values`; ``top`` is ``max(beta) / (1 - gamma)``.
+    See the module docstring.
     """
     kernels = np.concatenate([u.trans[act] for act in u.actions])
     k, n = len(u.actions), u.num_states

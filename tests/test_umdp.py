@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import warnings
 
 import numpy as np
@@ -32,7 +33,7 @@ def random_umdp(rng, n=3, actions=("a", "b"), gamma=0.9):
 def alpha_set(u):
     """The alpha-set that ``umdp_sup_value_interval`` builds for ``u``."""
     top = float(np.max(u.beta)) / (1.0 - u.gamma)
-    return umdp_mod._alpha_vectors(u, umdp_mod._stationary_values(u), top)
+    return umdp_mod._alpha_vectors(u, umdp_mod._loop_values(u, 1), top)
 
 
 def simulate_value(u, word, horizon):
@@ -276,6 +277,8 @@ class TestAlphaVectorBound:
             assert iv.converged == (iv.upper - iv.lower <= 1e-6)
             for act in u.actions:  # no stationary sequence beats the lasso lower bound
                 assert iv.lower >= umdp_value_truncated(u, (act,) * 400, 400) - 1e-6 / 100
+            loops = umdp_mod._loop_values(u, umdp_mod._longest_loop(len(u.actions), u.num_states))
+            assert iv.lower >= float(np.max(loops @ u.alpha)) - 1e-6 / 100  # nor any root loop
             a = umdp_to_wfa(u)
             try:
                 generic = seminorm_interval(a, a.alpha, u.gamma, budget=50)
@@ -429,7 +432,7 @@ class TestLassoLowerBound:
         # lasso values inflated by 1 close the gap test at once; the word cannot back them
         a = umdp_to_wfa(self.DEMO)
         bound = umdp_mod._AlphaVectorBound(alpha_set(self.DEMO), self.DEMO.beta,
-                                           umdp_mod._stationary_values(self.DEMO) + 1.0, 10, 1e-6)
+                                           umdp_mod._loop_values(self.DEMO, 1) + 1.0, 10, 1e-6)
         iv = seminorm_interval(a, a.alpha, 0.8, 1e-4, node_bound=bound)
         assert iv.nodes_expanded == 0 and not iv.converged
         assert iv.lower == umdp_value_truncated(self.DEMO, iv.witness_prefix + ("jump",), 11)
@@ -445,9 +448,95 @@ class TestLassoLowerBound:
             assert len(long.witness_prefix) > 4096 and long.lower >= iv.lower
 
 
-def _all_fixed_words(actions, length):
-    import itertools
+class TestLoopLassos:
+    # "a" then "b" walks 0 -> 1 -> 0 -> ... on the rewarding states; every other
+    # move drops into the sink 2, so one action repeated earns at most two rewards
+    ALTERNATING = Umdp(actions=("a", "b"), alpha=[1.0, 0.0, 0.0], beta=[1.0, 1.0, 0.0],
+                       trans={"a": np.eye(3)[[1, 2, 2]], "b": np.eye(3)[[2, 0, 2]]}, gamma=0.9)
 
+    @pytest.mark.parametrize("budget", [0, 20])
+    def test_alternating_loop_sets_the_lower_end(self, budget):
+        u, eps = self.ALTERNATING, 1e-6
+        iv = umdp_sup_value_interval(u, eps=eps, budget=budget)
+        alternating = 1.0 / (1.0 - u.gamma)  # a reward at every step
+        assert iv.lower >= alternating - eps / 100
+        assert iv.lower <= alternating <= iv.upper
+        word = iv.witness_prefix
+        assert iv.lower == umdp_value_truncated(u, word + (u.actions[0],), len(word) + 1)
+        assert word[:4] == ("a", "b", "a", "b") and len(set(word[-2:])) == 2
+        # the node lassos alone repeat one action after a prefix: worth less
+        a = umdp_to_wfa(u)
+        loops = umdp_mod._loop_values(u, 1)
+        top = float(np.max(u.beta)) / (1.0 - u.gamma)
+        bound = umdp_mod._AlphaVectorBound(alpha_set(u), u.beta, loops, len(word), eps / 100)
+        single = seminorm_interval(a, a.alpha, u.gamma, eps, budget, node_bound=bound)
+        assert single.lower < alternating - 0.5 * top * u.gamma ** (budget + 3)
+
+    def test_best_lasso_after_a_prefix(self):
+        # states S, H, A, B, Z: "aa" collects H's reward 5 and reaches A, then "ab" alternates
+        # A and B (reward 1 each); no loop from S or from H does as well, and "ba" from S
+        # alternates A and B without H
+        u = Umdp(actions=("a", "b"), alpha=np.eye(5)[0], beta=[0.0, 5.0, 1.0, 1.0, 0.0],
+                 trans={"a": np.eye(5)[[1, 2, 3, 4, 4]], "b": np.eye(5)[[2, 4, 4, 2, 4]]}, gamma=0.5)
+        iv = umdp_sup_value_interval(u, eps=1e-6, budget=0)
+        best = 0.5 * 5.0 + 0.25 * 2.0
+        assert best - 1e-6 / 100 <= iv.lower <= best <= iv.upper
+        assert iv.witness_prefix[:6] == ("a", "a", "a", "b", "a", "b")
+
+    def test_loop_values_are_the_repeated_loops(self):
+        u = random_umdp(np.random.default_rng(64), n=3, actions=("a", "b"), gamma=0.5)
+        loops = umdp_mod._loop_values(u, 3)
+        words = [w for p in (1, 2, 3) for w in itertools.product(u.actions, repeat=p)]
+        assert loops.shape == (len(words), 3)
+        for word, row in zip(words, loops):
+            # 0.5^60 of the reward bound is far below the tolerance
+            assert float(u.alpha @ row) == pytest.approx(
+                simulate_value(u, word * 60, 60), rel=1e-12, abs=0.0)
+
+    def test_longest_loop_is_the_largest_within_the_caps(self):
+        entries, loops = umdp_mod._LOOP_ENTRIES, umdp_mod._LOOP_COUNT
+        for k, n in itertools.product([1, 2, 3, 4], [1, 2, 8, 20, 60, 91, 200]):
+            p = umdp_mod._longest_loop(k, n)
+            count = sum(k**t for t in range(1, p + 1))
+            assert p == 1 or (k**p * n * n <= entries and count <= loops)
+            if k == 1:  # a longer loop of one action only repeats it
+                assert p == 1
+            else:  # the next level would pass a cap
+                assert k ** (p + 1) * n * n > entries or count + k ** (p + 1) > loops
+        assert umdp_mod._longest_loop(3, 8) == 5 and umdp_mod._longest_loop(2, 2) == 8
+
+    def spy_loop_lengths(self, monkeypatch):
+        calls = []
+        loop_values = umdp_mod._loop_values
+
+        def spy(u, longest):
+            calls.append(longest)
+            return loop_values(u, longest)
+
+        monkeypatch.setattr(umdp_mod, "_loop_values", spy)
+        return calls
+
+    def test_one_action_stops_at_level_one(self, monkeypatch):
+        # the loop count cap alone would allow 512 levels of one loop each
+        calls = self.spy_loop_lengths(monkeypatch)
+        u = random_umdp(np.random.default_rng(65), n=2, actions=("a",), gamma=0.9)
+        iv = umdp_sup_value_interval(u, eps=1e-8)
+        assert calls == [1] and iv.converged
+
+    def test_large_automaton_forms_level_one_only(self, monkeypatch):
+        calls = self.spy_loop_lengths(monkeypatch)
+        u = random_umdp(np.random.default_rng(66), n=46, actions=("a", "b", "c", "d"), gamma=0.9)
+        assert 4 * 46 * 46 <= umdp_mod._LOOP_ENTRIES < 16 * 46 * 46
+        umdp_sup_value_interval(u, budget=20)
+        assert calls == [1]
+
+    def test_small_automaton_forms_longer_loops(self, monkeypatch):
+        calls = self.spy_loop_lengths(monkeypatch)
+        umdp_sup_value_interval(self.ALTERNATING, budget=0)
+        assert calls == [umdp_mod._longest_loop(2, 3)] and calls[0] > 1
+
+
+def _all_fixed_words(actions, length):
     return itertools.product(actions, repeat=length)
 
 
