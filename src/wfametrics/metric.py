@@ -64,14 +64,11 @@ with ``d_j = max_{|x|=j} ||S^-T c_x||_2``, the largest dual norm on level
 symbols in front of a word multiplies its covector by a block product's
 transpose, so ``d_{j+m} <= theta^m d_j``: each level past ``J`` is bounded by
 one of the last ``m`` levels, ``(gamma*theta)^m`` smaller per block.  The
-``N`` covectors are formed once per search by
-:func:`~wfametrics.jsr.extend_products` on the transposed stack, as
-``gamma^j c_x``, whose norms fall by ``(gamma*theta)^m`` per block and so do
-not overflow past level ``m``.  ``J`` is the most levels, up to 64, that
-keep ``n * N`` within 8,192, but at least ``m``.  A block length that
-:func:`compute_tail_params` reached by lengthening has ``k^m n^2`` within
-8,192 and ``k^m`` within 4,096, so that cap alone gives ``J >= m``: the
-head, and so the cost of a node, is that of the first certificate.
+walk of :func:`compute_tail_params` forms the head once per search, as the
+covectors ``gamma^j c_x``, their dual rows and the ``d_j`` (:class:`_TailPlan`
+says how many levels ``J``), ranks its certificates' ``tau`` on it and hands
+it to the bound.  Every block length it reaches by lengthening is within that
+head, so a node costs what it costs with the first certificate.
 
 Let ``W`` be the largest bisimulation subspace, ``C`` the Q factor of ``S``
 times ``W``'s basis and ``Q = S^-1 C C^T S`` the projector onto ``W`` that is
@@ -170,7 +167,10 @@ class TailBoundParams:
 
     ``theta`` is the certified per-step rate over ``block_len``-step blocks in
     the working norm ``|v|_S = ||scaling @ v||_2``; ``step_norm``, the
-    single-step cap ``max(1, max_s |tau_s|_S)``, is used by no bound.
+    single-step cap ``max(1, max_s |tau_s|_S)``, is used by no bound and read
+    by the benchmark's trace (``perfbench/spans.py``).  A ``theta`` that is
+    negative or NaN (``inf`` certifies nothing but is kept) and a scaling
+    that is not a finite square matrix raise ``ValueError``.
     """
 
     theta: float
@@ -179,7 +179,11 @@ class TailBoundParams:
     step_norm: float
 
     def __post_init__(self):
-        object.__setattr__(self, "scaling", np.array(self.scaling, dtype=float))
+        if not self.theta >= 0.0:
+            raise ValueError(f"theta must be non-negative, got {self.theta}")
+        object.__setattr__(self, "scaling", checked_array(self.scaling, "scaling", (None, None)))
+        if self.scaling.shape[0] != self.scaling.shape[1]:
+            raise ValueError(f"scaling must be square, got shape {self.scaling.shape}")
         check_budget(self.block_len, 1, "block_len")
         object.__setattr__(self, "block_len", int(self.block_len))
 
@@ -312,12 +316,17 @@ def compute_tail_params(a: Wfa, gamma: float, depth: int = 8) -> TailBoundParams
     Then it takes ``m + 1`` with the same ``S`` while ``k^(m+1) n^2`` is
     within 8,192 entries (and ``m + 1`` within ``depth``, the product cap
     and 64), ``m + 1`` certifies and its tail coefficient ``tau`` (see "Node
-    bound" in the module docstring) is strictly smaller, and returns the
-    last one taken.  ``tau`` is computed, by the node bound's own helpers,
-    only when two certificates are compared.  Raises
-    :class:`CannotCertifyError` if nothing certifies; the discount may still
-    be admissible at higher depth.
+    bound" in the module docstring), ranked on the node bound's head formed
+    once for the first certificate, is strictly smaller, and returns the
+    last one taken; its ``step_norm`` is read by the benchmark's trace
+    (``perfbench/spans.py``).  Raises :class:`CannotCertifyError` if nothing
+    certifies; the discount may still be admissible at higher depth.
     """
+    return _tail_plan(a, gamma, depth).params
+
+
+def _tail_plan(a: Wfa, gamma: float, depth: int = 8) -> _TailPlan:
+    """The walk of :func:`compute_tail_params`: the first certificate's plan, holding the one taken."""
     _check_gamma(gamma)
     check_budget(depth, 1, "depth")
     n, k, depth = a.dim, len(a.alphabet), int(depth)
@@ -325,67 +334,66 @@ def compute_tail_params(a: Wfa, gamma: float, depth: int = 8) -> TailBoundParams
     def certifies(params: TailBoundParams) -> bool:
         return gamma * params.theta < 1.0 - _CERT_MARGIN
 
-    def tau(params: TailBoundParams) -> float:
-        m = params.block_len
-        return _tail_coefficient(dual_norms, m, (gamma * params.theta) ** m)[0]
-
     candidates = _certificates(a.trans_stack(), depth)
-    best = next(filter(certifies, candidates), None)
-    if best is None:
+    first = next(filter(certifies, candidates), None)
+    if first is None:
         raise CannotCertifyError(
             f"could not certify gamma * theta < 1 for gamma={gamma} "
             f"within block length {depth}; try a larger depth or smaller gamma"
         )
-    # Within these caps the next level is the same scaling's, and the node
-    # bound's head has at least m + 1 levels, so every candidate shares it.
-    dual_norms = best_tau = None
-    m = best.block_len + 1
+    plan = _TailPlan(a, gamma, first)
+    # Within these caps the next level is the same scaling's, and its block is within the first head
+    m = first.block_len + 1
     while m <= min(depth, _COVECTOR_LEVELS) and k**m <= _PRODUCT_CAP and k**m * n * n <= _COVECTOR_WORK:
         params = next(candidates)
-        if not certifies(params):
+        if not (certifies(params) and plan.terms(params)[0] < plan.terms(plan.params)[0]):
             break
-        if dual_norms is None:
-            with np.errstate(over="ignore"):
-                dual_norms = _dual_norms(_covector_levels(a, gamma, m), np.linalg.inv(best.scaling))
-            best_tau = tau(best)
-        new_tau = tau(params)
-        if not new_tau < best_tau:
-            break
-        best, best_tau, m = params, new_tau, m + 1
-    return best
+        plan.params, m = params, m + 1
+    return plan
 
 
-def _covector_levels(a: Wfa, gamma: float, m: int) -> list[np.ndarray]:
-    """``levels[j]`` holds ``gamma^j c_x`` for the words ``x`` of length ``j = 0..J``, as ``(k^j, n, 1)``.
+class _TailPlan:
+    """The node bound's covector head for the certificate ``params``, formed once per search.
 
-    ``J`` is the most levels, up to ``_COVECTOR_LEVELS``, that keep ``n * N``
-    within ``_COVECTOR_WORK``, but at least ``m``.
+    ``covectors`` stacks ``gamma^j c_x`` for the words of length ``j = 1..J``
+    (level ``j`` from row ``level_starts[j-1]``), ``duals`` their rows ``S^-T
+    gamma^j c_x`` and ``dual_norms`` the ``d_j``.  ``J`` is the most levels, up
+    to ``_COVECTOR_LEVELS``, that keep ``n * N`` within ``_COVECTOR_WORK``, but
+    at least ``m``; a certificate of the same scaling with ``m <= J`` shares
+    the head, so the walk of :func:`_tail_plan` swaps ``params`` only.
     """
-    n, k = a.dim, len(a.alphabet)
-    stack_t = gamma * a.trans_stack().transpose(0, 2, 1)
-    levels, count = [a.beta[None, :, None]], 0
-    while len(levels) <= m or (
-        len(levels) <= _COVECTOR_LEVELS and max(n, 1) * (count + k ** len(levels)) <= _COVECTOR_WORK
-    ):
-        levels.append(extend_products(stack_t, levels[-1]))
-        count += len(levels[-1])
-    return levels
 
+    def __init__(self, a: Wfa, gamma: float, params: TailBoundParams):
+        n, k = a.dim, len(a.alphabet)
+        if params.scaling.shape != (n, n):
+            raise ValueError(f"scaling has shape {params.scaling.shape}, expected ({n}, {n})")
+        self.gamma, self.params = gamma, params
+        stack_t = gamma * a.trans_stack().transpose(0, 2, 1)
+        levels, count = [a.beta[None, :, None]], 0
+        with np.errstate(over="ignore"):
+            while len(levels) <= params.block_len or (
+                len(levels) <= _COVECTOR_LEVELS and max(n, 1) * (count + k ** len(levels)) <= _COVECTOR_WORK
+            ):
+                levels.append(extend_products(stack_t, levels[-1]))
+                count += len(levels[-1])
+            self.covectors = np.concatenate([level[:, :, 0] for level in levels[1:]])
+            self.level_starts = np.cumsum([0] + [len(level) for level in levels[1:-1]])
+            self.s_inv = np.linalg.inv(params.scaling)
+            self.duals = self.covectors @ self.s_inv
+            self.dual_norms = np.maximum.reduceat(np.linalg.norm(self.duals, axis=1), self.level_starts).tolist()
 
-def _dual_norms(levels: list[np.ndarray], s_inv: np.ndarray) -> list[float]:
-    """``d_j = max_{|x|=j} ||S^-T gamma^j c_x||_2`` for the covector ``levels`` ``j = 1..J``."""
-    rows = np.concatenate([level[:, :, 0] for level in levels[1:]]) @ s_inv
-    starts = np.cumsum([0] + [len(level) for level in levels[1:-1]])
-    return np.maximum.reduceat(np.linalg.norm(rows, axis=1), starts).tolist()
+    def terms(self, params: TailBoundParams) -> tuple[float, float, float]:
+        """``(tau, tail, (gamma*theta)^m)`` of the node bound for a certificate ``params`` of this scaling.
 
-
-def _tail_coefficient(dual_norms: list[float], m: int, gtm: float) -> tuple[float, float]:
-    """``(tau, tail)`` of the node bound for block length ``m`` and ``gtm = (gamma*theta)^m < 1``.
-
-    ``tail`` sums the last ``m`` of ``dual_norms`` and ``tau = tail gtm / (1 - gtm)``.
-    """
-    tail = sum(dual_norms[-m:])
-    return tail * gtm / (1.0 - gtm), tail
+        ``tail`` sums the last ``m`` of the ``d_j`` and ``tau = tail gtm / (1 - gtm)``
+        with ``gtm = (gamma*theta)^m``; raises :class:`CannotCertifyError` unless ``gtm < 1``.
+        """
+        m = params.block_len
+        gtm = (self.gamma * params.theta) ** m
+        if not gtm < 1.0:
+            raise CannotCertifyError(f"tail series diverges: (gamma*theta)^m = {gtm}")
+        tail = sum(self.dual_norms[-m:])
+        return tail * gtm / (1.0 - gtm), tail, gtm
 
 
 class NodeBound(Protocol):
@@ -406,17 +414,9 @@ class _BoundData:
     See "Node bound" in the module docstring.
     """
 
-    def __init__(self, a: Wfa, gamma: float, params: TailBoundParams, kernel: Subspace | None):
-        n = a.dim
-        m, theta = params.block_len, params.theta
-        gtm = (gamma * theta) ** m
-        if gtm >= 1.0:
-            raise CannotCertifyError(f"tail series diverges: (gamma*theta)^m = {gtm}")
-        s_mat, stack = params.scaling, a.trans_stack()
-        s_inv = np.linalg.inv(s_mat)
-        levels = _covector_levels(a, gamma, m)
-        covectors = np.concatenate([level[:, :, 0] for level in levels[1:]])
-        tau, tail = _tail_coefficient(_dual_norms(levels, s_inv), m, gtm)
+    def __init__(self, a: Wfa, plan: _TailPlan, kernel: Subspace | None):
+        gamma, m, s_mat = plan.gamma, plan.params.block_len, plan.params.scaling
+        tau, tail, gtm = plan.terms(plan.params)
         maps, coeffs = [s_mat], [tau]
         if kernel is not None and kernel.dim:
             c_mat = np.linalg.qr(s_mat @ kernel.basis)[0]  # S Q S^-1 = C C^T
@@ -424,19 +424,19 @@ class _BoundData:
             out_w = s_mat - c_mat @ in_w  # S (I-Q)
             # T_b S^-1 C for the k^m blocks b: delta = max_b ||S (I-Q) T_b S^-1 C||
             # and the kernel's own block rate max_b ||C^T S T_b S^-1 C|| <= theta^m
-            into_w = (s_inv @ c_mat)[None]
+            into_w, stack = (plan.s_inv @ c_mat)[None], a.trans_stack()
             for _ in range(m):
                 into_w = extend_products(stack, into_w)
             escape = max_spectral_norm(out_w @ into_w)
             rate = min(gtm, gamma**m * max_spectral_norm(in_w @ into_w))
-            duals = [level[:, :, 0] @ s_inv for level in levels[-m:]]  # rows gamma^j S^-T c_x
-            e_sum = sum(float(np.max(np.linalg.norm(rows @ c_mat, axis=1))) for rows in duals)
+            starts = plan.level_starts[-m:]  # e_j over the last m levels, from the rows gamma^j S^-T c_x
+            e_norms = np.linalg.norm(plan.duals[starts[0]:] @ c_mat, axis=1)
+            e_sum = sum(np.maximum.reduceat(e_norms, starts - starts[0]).tolist())
             tau_w = (rate * e_sum + gamma**m * escape * tail / (1.0 - gtm)) / (1.0 - rate)
             maps, coeffs = [out_w, in_w], [tau, tau_w]
-        self.beta, self.count = a.beta, len(covectors)
-        self.level_starts = np.cumsum([0] + [len(level) for level in levels[1:-1]])
-        self.cols = np.hstack([covectors.T] + [mat.T for mat in maps])
-        self.norm_starts, self.norm_coeffs = n * np.arange(len(maps)), np.array(coeffs)
+        self.beta, self.count, self.level_starts = a.beta, len(plan.covectors), plan.level_starts
+        self.cols = np.hstack([plan.covectors.T] + [mat.T for mat in maps])
+        self.norm_starts, self.norm_coeffs = a.dim * np.arange(len(maps)), np.array(coeffs)
 
     def children(self, states: np.ndarray) -> tuple[list[float], list[float], None]:
         # One product gives, for each row u, every |gamma^j c_x . u|, then S (I-Q) u
@@ -484,8 +484,6 @@ def seminorm_interval(
         raise ValueError("params configures the generic node bound and is ignored with node_bound")
     if a.dim == 0:
         return CertifiedInterval(0.0, 0.0, gamma, 0, 0, ())
-    if node_bound is None and params is None:
-        params = compute_tail_params(a, gamma)
     symbols = a.alphabet
     k, n = len(symbols), a.dim
     # A node's k children are one product with the (k*n, n) stack of the tau_s,
@@ -517,7 +515,8 @@ def seminorm_interval(
     children, child_d, base, partial, gpow = v[None], 0, 0, 0.0, 1.0
     with np.errstate(over="ignore"):
         if node_bound is None:
-            node_bound = _BoundData(a, gamma, params, largest_bisimulation(a))
+            plan = _tail_plan(a, gamma) if params is None else _TailPlan(a, gamma, params)
+            node_bound, params = _BoundData(a, plan, largest_bisimulation(a)), plan.params
         bound_children = node_bound.children
         while True:
             bvals, rems, lassos = bound_children(children)

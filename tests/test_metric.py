@@ -26,7 +26,7 @@ from wfametrics import (
 from wfametrics.bisim import Subspace
 from wfametrics.linalg import DEFAULT_TOL, spectral_norm
 from wfametrics import metric
-from wfametrics.metric import DEFAULT_BUDGET, _BoundData, balance_scaling
+from wfametrics.metric import DEFAULT_BUDGET, _BoundData, _TailPlan, balance_scaling
 from conftest import all_words, duplicated_copy, pad_with_zero_state, random_stochastic, random_wfa
 
 
@@ -191,7 +191,7 @@ class TestTailParams:
         assert params.theta == pytest.approx(theta, rel=1e-14, abs=0.0)
         assert params.block_len == block_len
         # the tau that ranked the certificates is the one the node bound uses
-        assert _BoundData(a, gamma, params, None).norm_coeffs[0] == pytest.approx(tau, rel=1e-12, abs=0.0)
+        assert _BoundData(a, _TailPlan(a, gamma, params), None).norm_coeffs[0] == pytest.approx(tau, rel=1e-12, abs=0.0)
         assert params.step_norm == step_norm
         assert np.array_equal(params.scaling, scaling)
         assert (block_len, not np.array_equal(scaling, np.eye(a.dim))) == expected
@@ -286,7 +286,7 @@ def first_certificate(a, gamma, depth=8):
 
 def bound_tau(a, gamma, params):
     """The tail coefficient of the generic node bound built on ``params``."""
-    return float(_BoundData(a, gamma, params, None).norm_coeffs[0])
+    return float(_BoundData(a, _TailPlan(a, gamma, params), None).norm_coeffs[0])
 
 
 def sweep_case(rng):
@@ -306,12 +306,12 @@ class TestLengthenedCertificate:
         a = random_wfa(np.random.default_rng(70), n=70, norm_cap=0.9)
         calls = []
 
-        def counting_tail(*args):
-            calls.append(args)
-            return tail_coefficient(*args)
+        def counting_terms(plan, params):
+            calls.append(params)
+            return terms(plan, params)
 
-        tail_coefficient = metric._tail_coefficient
-        monkeypatch.setattr(metric, "_tail_coefficient", counting_tail)
+        terms = _TailPlan.terms
+        monkeypatch.setattr(_TailPlan, "terms", counting_terms)
         params, first = compute_tail_params(a, 0.9), first_certificate(a, 0.9)
         assert calls == []
         assert (params.theta, params.block_len, params.step_norm) == (first.theta, 1, first.step_norm)
@@ -351,6 +351,42 @@ class TestLengthenedCertificate:
             if gamma * following.theta < 1.0 - metric._CERT_MARGIN:
                 assert bound_tau(a, gamma, following) >= tau
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(n=st.integers(1, 8), k=st.integers(1, 3), gamma=st.floats(0.3, 0.99),
+           norm_cap=st.floats(0.5, 1.5), seed=st.integers(0, 2**32 - 1))
+    def test_default_search_is_the_search_on_the_walks_certificate(self, n, k, gamma, norm_cap, seed):
+        """The walk keeps the first certificate's head while it lengthens: the chosen one builds the same."""
+        rng = np.random.default_rng(seed)
+        a = random_wfa(rng, n=n, alphabet=("a", "b", "c")[:k], norm_cap=norm_cap)
+        v = rng.standard_normal(n)
+        try:
+            params = compute_tail_params(a, gamma)
+        except CannotCertifyError:
+            return
+        assert seminorm_interval(a, v, gamma, budget=200) == seminorm_interval(a, v, gamma, budget=200, params=params)
+
+    def test_each_search_builds_its_head_once(self, monkeypatch):
+        built = []
+
+        class CountingPlan(_TailPlan):
+            def __init__(self, a, gamma, params):
+                built.append(params.block_len)
+                super().__init__(a, gamma, params)
+
+        monkeypatch.setattr(metric, "_TailPlan", CountingPlan)
+        a, gamma = _bounded(0.8), 0.9  # the walk lengthens the first certificate, m = 1
+        params = compute_tail_params(a, gamma)
+        assert params.block_len > 1 and built == [1]
+        built.clear()
+        seminorm_interval(a, a.alpha, gamma, budget=100)
+        assert built == [1]
+        built.clear()
+        seminorm_interval(a, a.alpha, gamma, budget=100, params=params)
+        assert built == [params.block_len]
+        built.clear()
+        distance(a, _bounded(0.7), gamma, budget=100)
+        assert len(built) == 1
+
     def test_sweep_expands_no_more_nodes_than_the_first_certificate(self):
         rng = np.random.default_rng(3)
         lengthened = first_fit = 0
@@ -367,9 +403,29 @@ class TestLengthenedCertificate:
 class TestSeminormInterval:
     def test_diverging_certificate_is_rejected(self, rng):
         a = random_wfa(rng, n=2)
-        params = metric.TailBoundParams(2.0, np.eye(2), 1, 1.0)
-        with pytest.raises(CannotCertifyError, match="tail series diverges"):
-            seminorm_interval(a, a.alpha, 0.9, params=params)
+        for theta in (2.0, np.inf):  # inf, which an overflowing level yields, is accepted and certifies nothing
+            params = metric.TailBoundParams(theta, np.eye(2), 1, 1.0)
+            with pytest.raises(CannotCertifyError, match="tail series diverges"):
+                seminorm_interval(a, a.alpha, 0.9, params=params)
+
+    @pytest.mark.parametrize("theta, scaling, message", [
+        # -theta once gave a converged upper of 0.54460316..., below the depth-12 truncated value 0.54479745...
+        (-1.0, None, "theta must be non-negative, got -0.89"),
+        (np.nan, None, "theta must be non-negative, got nan"),
+        (1.0, np.ones((3, 2)), r"scaling must be square, got shape \(3, 2\)"),
+        (1.0, np.ones(3), r"scaling has shape \(3,\)"),
+        (1.0, [[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "scaling has non-finite entries"),
+        (1.0, np.eye(2), r"scaling has shape \(2, 2\), expected \(3, 3\)"),
+    ])
+    def test_malformed_certificate_is_rejected(self, theta, scaling, message):
+        """``theta`` scales the automaton's own certificate; a ``scaling`` of None keeps its scaling."""
+        rng = np.random.default_rng(0)
+        a = Wfa(("a", "b"), rng.standard_normal(3), rng.standard_normal(3),
+                {s: 0.5 * rng.standard_normal((3, 3)) for s in "ab"})
+        cert = compute_tail_params(a, 0.6)
+        with pytest.raises(ValueError, match=message):
+            scaling = cert.scaling if scaling is None else scaling
+            seminorm_interval(a, a.alpha, 0.6, params=metric.TailBoundParams(theta * cert.theta, scaling, 1, 1.0))
 
     def test_zero_vector(self, rng):
         a = random_wfa(rng)
@@ -513,7 +569,7 @@ def tuple_word_seminorm_interval(a, v, gamma, eps, budget, projection=True):
     """
     params = compute_tail_params(a, gamma)
     kernel = largest_bisimulation(a, DEFAULT_TOL) if projection else None
-    data = _BoundData(a, gamma, params, kernel)
+    data = _BoundData(a, _TailPlan(a, gamma, params), kernel)
 
     def remaining(states):
         return data.children(states)[1]
@@ -571,7 +627,7 @@ def tuple_word_seminorm_interval(a, v, gamma, eps, budget, projection=True):
 
 def no_projection_bound(a, gamma):
     """The generic bound with ``W = {0}``: the covector bound on the whole state, no residual terms."""
-    return _BoundData(a, gamma, compute_tail_params(a, gamma), None)
+    return _BoundData(a, _TailPlan(a, gamma, compute_tail_params(a, gamma)), None)
 
 
 def _tied(a):
@@ -707,7 +763,7 @@ class TestCovectorBound:
             for params in metric._certificates(a.trans_stack(), 3):
                 if gamma * params.theta >= 1.0 - metric._CERT_MARGIN:
                     continue
-                data = _BoundData(a, gamma, params, kernel)
+                data = _BoundData(a, _TailPlan(a, gamma, params), kernel)
                 rems = np.array(data.children(states)[1])
                 chain = chain_remainders(data, a, gamma, params, kernel, states)
                 assert np.all(rems <= chain * (1.0 + 1e-12))
@@ -721,7 +777,7 @@ class TestCovectorBound:
         a = Wfa(alphabet=("a",), alpha=[1.0, 0.0], beta=[1.0, -1.0], trans={"a": 0.5 * np.eye(2)})
         kernel = Subspace(np.ones((2, 1)) / np.sqrt(2.0), DEFAULT_TOL)
         for scaling in (np.eye(2), np.diag([1.0, 100.0])):
-            data = _BoundData(a, 0.9, metric.TailBoundParams(0.5, scaling, 1, 1.0), kernel)
+            data = _BoundData(a, _TailPlan(a, 0.9, metric.TailBoundParams(0.5, scaling, 1, 1.0)), kernel)
             assert len(data.norm_coeffs) == 2
             assert data.children(np.ones((1, 2)))[1][0] <= 1e-15
 
@@ -754,7 +810,7 @@ class TestCovectorBound:
                 params = compute_tail_params(a, gamma)
             except CannotCertifyError:
                 continue
-            bound = _BoundData(a, gamma, params, largest_bisimulation(a, tol))
+            bound = _BoundData(a, _TailPlan(a, gamma, params), largest_bisimulation(a, tol))
             iv = seminorm_interval(a, v, gamma, budget=0, node_bound=bound)
             assert truncated_seminorm(a, v, gamma, 10) <= iv.upper
             checked += 1
@@ -788,20 +844,20 @@ class TestCovectorBound:
         rng = np.random.default_rng(32)
         a = random_wfa(rng, n=3, alphabet=("a", "b"), norm_cap=0.9)
         params = compute_tail_params(a, 0.5)
-        data = _BoundData(a, 0.5, params, None)
+        data = _BoundData(a, _TailPlan(a, 0.5, params), None)
         # 2 + 4 + ... + 2^10 = 2046 covectors; 3 * 2046 <= 8192 < 3 * 4094
         assert data.count == 2046 and len(data.level_starts) == 10
         long_block = metric.TailBoundParams(params.theta, params.scaling, 12, params.step_norm)
-        assert len(_BoundData(a, 0.5, long_block, None).level_starts) == 12
+        assert len(_BoundData(a, _TailPlan(a, 0.5, long_block), None).level_starts) == 12
 
     def test_one_letter_levels_capped_but_at_least_the_block_length(self):
         # k = 1 keeps n * N within the work cap for 8,192 / n levels; 64 is the most
         a = one_state(0.9)
         params = compute_tail_params(a, 0.5)
-        data = _BoundData(a, 0.5, params, None)
+        data = _BoundData(a, _TailPlan(a, 0.5, params), None)
         assert data.count == len(data.level_starts) == 64
         long_block = metric.TailBoundParams(params.theta, params.scaling, 70, params.step_norm)
-        assert len(_BoundData(a, 0.5, long_block, None).level_starts) == 70
+        assert len(_BoundData(a, _TailPlan(a, 0.5, long_block), None).level_starts) == 70
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(n=st.integers(1, 5), k=st.integers(1, 3),
@@ -826,7 +882,7 @@ class TestCovectorBound:
                 d = 10.0 ** rng.uniform(-1.5, 1.5, a.dim)
                 a, v = diagonal_skew(a, d), d * v
             tol = 10.0 ** rng.uniform(-4, -1)
-            bound = _BoundData(a, gamma, compute_tail_params(a, gamma), largest_bisimulation(a, tol))
+            bound = _BoundData(a, _TailPlan(a, gamma, compute_tail_params(a, gamma)), largest_bisimulation(a, tol))
             budget = 0
         iv = seminorm_interval(a, v, gamma, budget=budget, node_bound=bound)
         assert truncated_seminorm(a, v, gamma, 9) <= iv.upper
@@ -837,7 +893,7 @@ class TestCovectorBound:
 
 class TestNodeBoundOption:
     def _generic(self, a, gamma):
-        return _BoundData(a, gamma, compute_tail_params(a, gamma), largest_bisimulation(a, DEFAULT_TOL))
+        return _BoundData(a, _TailPlan(a, gamma, compute_tail_params(a, gamma)), largest_bisimulation(a, DEFAULT_TOL))
 
     def test_generic_bound_passed_explicitly_is_the_default(self, rng):
         a = duplicated_copy(random_wfa(rng, n=2, norm_cap=0.8))
