@@ -409,16 +409,16 @@ class NodeBound(Protocol):
 
 
 class _BoundData:
-    """The generic node bound: covector head and geometric tail, split by the kernel.
+    """The generic node bound: covector head and geometric tail, split by the kernel ``W``.
 
-    See "Node bound" in the module docstring.
+    ``W = {0}`` (``kernel.dim == 0``) leaves ``tau |u|_S``.  See "Node bound" in the module docstring.
     """
 
-    def __init__(self, a: Wfa, plan: _TailPlan, kernel: Subspace | None):
+    def __init__(self, a: Wfa, plan: _TailPlan, kernel: Subspace):
         gamma, m, s_mat = plan.gamma, plan.params.block_len, plan.params.scaling
         tau, tail, gtm = plan.terms(plan.params)
         maps, coeffs = [s_mat], [tau]
-        if kernel is not None and kernel.dim:
+        if kernel.dim:
             c_mat = np.linalg.qr(s_mat @ kernel.basis)[0]  # S Q S^-1 = C C^T
             in_w = c_mat.T @ s_mat
             out_w = s_mat - c_mat @ in_w  # S (I-Q)
@@ -482,8 +482,6 @@ def seminorm_interval(
     v = checked_array(v, "vector", (a.dim,))
     if node_bound is not None and params is not None:
         raise ValueError("params configures the generic node bound and is ignored with node_bound")
-    if a.dim == 0:
-        return CertifiedInterval(0.0, 0.0, gamma, 0, 0, ())
     symbols = a.alphabet
     k, n = len(symbols), a.dim
     # A node's k children are one product with the (k*n, n) stack of the tau_s,
@@ -517,6 +515,8 @@ def seminorm_interval(
         if node_bound is None:
             plan = _tail_plan(a, gamma) if params is None else _TailPlan(a, gamma, params)
             node_bound, params = _BoundData(a, plan, largest_bisimulation(a)), plan.params
+        if a.dim == 0:  # after the bound, which checks params against the size
+            return CertifiedInterval(0.0, 0.0, gamma, 0, 0, ())
         bound_children = node_bound.children
         while True:
             bvals, rems, lassos = bound_children(children)

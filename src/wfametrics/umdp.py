@@ -56,15 +56,15 @@ other products at every node (see "Node bound" in :mod:`wfametrics.metric`),
 and its alpha-set starts from them.  After the search every lasso whose
 prefix is a prefix of the returned witness (the empty one included) and
 whose loop is any formed loop is scored as well.  The closed form is
-rounded, so it only ranks lassos and closes the gap test less a margin.  The best lasso is written out as
-the prefix followed by the loop up to ``L`` actions in all, with ``L`` the
-smallest length at which ``gamma^(L+1) max(beta) / (1 - gamma)``, the most
-the dropped tail can be worth, is at most ``eps / 100``.  That word's
-forward-summed truncated value becomes ``lower`` when it beats the best so
-far, and the word becomes ``witness_prefix``, so the witness can be much
-longer than ``depth_explored``; ``converged`` is judged on that ``lower``.
-``L`` grows like ``1 / (1 - gamma)``; when it exceeds ``_LASSO_LENGTH_CAP``
-the search scores prefixes only.
+rounded, so it only ranks lassos and closes the gap test less a margin.
+The best lasso is written out as the prefix followed by the loop up to
+``L`` actions in all: the smallest ``L`` at which ``gamma^(L+1) max(beta) /
+(1 - gamma)``, the most the dropped tail can be worth, is at most ``eps /
+100``, or ``_LASSO_LENGTH_CAP`` near ``gamma = 1``, where the margin covers
+that larger tail.  That word's forward-summed truncated value becomes
+``lower`` when it beats the best so far, and the word becomes
+``witness_prefix``, so the witness can be much longer than
+``depth_explored``; ``converged`` is judged on that ``lower``.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ from .metric import DEFAULT_BUDGET, DEFAULT_EPS, CannotCertifyError, CertifiedIn
 _STOCHASTIC_TOL = 1e-12
 # policy iteration for the alpha-set stops when no choice gains beyond rounding, or here
 _POLICY_ITERATIONS = 100
-# longest written-out lasso; beyond it (gamma near 1) the search scores prefixes only
+# longest written-out lasso; near gamma = 1 the lasso is cut here and its margin covers the rest
 _LASSO_LENGTH_CAP = 4096
 # lasso loops: at most this many matrix entries (k^p n^2) in one level of loops of p actions ...
 _LOOP_ENTRIES = 1 << 15
@@ -177,7 +177,8 @@ def umdp_sup_value_interval(
     the module docstring: at every node it scores the prefix followed by one
     action forever, and after the search the prefixes of the witness followed
     by any action loop of up to ``p`` actions (``p`` from the entry and count
-    caps, 1 for a single action).  The node count does not depend on the
+    caps, 1 for a single action), each written out to at most
+    ``_LASSO_LENGTH_CAP`` actions.  The node count does not depend on the
     longer loops; only ``lower``, ``witness_prefix`` and ``converged`` can.
     Raises ``ValueError`` when ``max(beta) / (1 - gamma)`` overflows, ``eps``
     is not positive or ``budget`` is not a non-negative integer, all before
@@ -191,24 +192,18 @@ def umdp_sup_value_interval(
     if not np.isfinite(top):
         raise ValueError(f"the value bound max(beta) / (1 - gamma) = {top} overflows")
     k, n = len(u.actions), u.num_states
-    length = None  # the written-out lasso length L, or None without lassos
-    if top > 0:  # with zero rewards every lasso is worth 0
-        # the smallest L with gamma^(L+1) * top <= eps / 100
+    length = 0  # the written-out lasso length L; with zero rewards every lasso is worth 0
+    if top > 0:
+        # the smallest L with gamma^(L+1) * top <= eps / 100, within the cap
         steps = (math.log(eps) - math.log(100.0) - math.log(top)) / math.log(u.gamma)
-        length = max(0, math.ceil(max(steps, 0.0)) - 1)
-        if length > _LASSO_LENGTH_CAP:
-            length = None
-    loops = _loop_values(u, 1 if length is None else _longest_loop(k, n))
+        length = min(max(0, math.ceil(max(steps, 0.0)) - 1), _LASSO_LENGTH_CAP)
+    slack = (length + 2 / (1 - u.gamma)) * _rounding_slack(n, top)  # the rounding of the closed form
+    margin = max(eps / 100, u.gamma ** (length + 1) * top) + slack  # and the dropped tail
+    loops = _loop_values(u, _longest_loop(k, n))
     stationary = loops[:k]
-    lassos = ()  # no lasso rows
-    if length is not None:
-        margin = eps / 100 + (length + 2 / (1 - u.gamma)) * _rounding_slack(n, top)
-        lassos = (stationary, length, margin)
     a = umdp_to_wfa(u)
-    bound = _AlphaVectorBound(_alpha_vectors(u, stationary, top), u.beta, *lassos)
+    bound = _AlphaVectorBound(_alpha_vectors(u, stationary, top), u.beta, stationary, length, margin)
     iv = seminorm_interval(a, a.alpha, u.gamma, eps, budget, node_bound=bound)
-    if length is None:
-        return iv
     return _with_best_loop(a, u.gamma, eps, iv, loops, length)
 
 
@@ -348,21 +343,21 @@ class _AlphaVectorBound:
     then the lasso values in one slice, ``c * m + i`` for lasso ``c`` of row
     ``i``.  The states and rewards are non-negative, so ``u . beta`` is
     already ``|beta . u|``.  The short rows are reduced as Python lists,
-    which is faster than numpy reductions on arrays this small.  Without
-    ``lassos`` (the rows ``v_c``) the third item is ``None``.
+    which is faster than numpy reductions on arrays this small.  ``lassos``
+    are the rows ``v_c`` (see "Lasso lower bound" in the module docstring).
     """
 
-    def __init__(self, alphas: np.ndarray, beta: np.ndarray, lassos: np.ndarray | None = None,
-                 lasso_length: int = 0, lasso_margin: float = 0.0):
-        self.weights_t = np.vstack([beta, alphas - beta] + ([] if lassos is None else [lassos]))
+    def __init__(self, alphas: np.ndarray, beta: np.ndarray, lassos: np.ndarray, lasso_length: int,
+                 lasso_margin: float):
+        self.weights_t = np.vstack([beta, alphas - beta, lassos])
         self.k = len(alphas)
         self.lasso_length, self.lasso_margin = lasso_length, lasso_margin
 
-    def children(self, states: np.ndarray) -> tuple[list[float], list[float], list[float] | None]:
+    def children(self, states: np.ndarray) -> tuple[list[float], list[float], list[float]]:
         m = len(states)
         flat = self.weights_t.dot(states.T).ravel().tolist()
         end = (self.k + 1) * m
-        return flat[:m], [max(flat[i:end:m]) for i in range(m, 2 * m)], flat[end:] or None
+        return flat[:m], [max(flat[i:end:m]) for i in range(m, 2 * m)], flat[end:]
 
 
 # ---------------------------------------------------------------------------

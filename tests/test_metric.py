@@ -30,6 +30,11 @@ from wfametrics.metric import DEFAULT_BUDGET, _BoundData, _TailPlan, balance_sca
 from conftest import all_words, duplicated_copy, pad_with_zero_state, random_stochastic, random_wfa
 
 
+def no_kernel(a):
+    """The zero subspace W = {0}: the generic bound without a bisimulation kernel."""
+    return Subspace(np.zeros((a.dim, 0)), DEFAULT_TOL)
+
+
 def one_state(tau):
     return Wfa(alphabet=("a",), alpha=[1.0], beta=[1.0], trans={"a": [[tau]]})
 
@@ -191,7 +196,7 @@ class TestTailParams:
         assert params.theta == pytest.approx(theta, rel=1e-14, abs=0.0)
         assert params.block_len == block_len
         # the tau that ranked the certificates is the one the node bound uses
-        assert _BoundData(a, _TailPlan(a, gamma, params), None).norm_coeffs[0] == pytest.approx(tau, rel=1e-12, abs=0.0)
+        assert _BoundData(a, _TailPlan(a, gamma, params), no_kernel(a)).norm_coeffs[0] == pytest.approx(tau, rel=1e-12, abs=0.0)
         assert params.step_norm == step_norm
         assert np.array_equal(params.scaling, scaling)
         assert (block_len, not np.array_equal(scaling, np.eye(a.dim))) == expected
@@ -286,7 +291,7 @@ def first_certificate(a, gamma, depth=8):
 
 def bound_tau(a, gamma, params):
     """The tail coefficient of the generic node bound built on ``params``."""
-    return float(_BoundData(a, _TailPlan(a, gamma, params), None).norm_coeffs[0])
+    return float(_BoundData(a, _TailPlan(a, gamma, params), no_kernel(a)).norm_coeffs[0])
 
 
 def sweep_case(rng):
@@ -408,20 +413,22 @@ class TestSeminormInterval:
             with pytest.raises(CannotCertifyError, match="tail series diverges"):
                 seminorm_interval(a, a.alpha, 0.9, params=params)
 
-    @pytest.mark.parametrize("theta, scaling, message", [
+    @pytest.mark.parametrize("theta, scaling, message, n", [
         # -theta once gave a converged upper of 0.54460316..., below the depth-12 truncated value 0.54479745...
-        (-1.0, None, "theta must be non-negative, got -0.89"),
-        (np.nan, None, "theta must be non-negative, got nan"),
-        (1.0, np.ones((3, 2)), r"scaling must be square, got shape \(3, 2\)"),
-        (1.0, np.ones(3), r"scaling has shape \(3,\)"),
-        (1.0, [[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "scaling has non-finite entries"),
-        (1.0, np.eye(2), r"scaling has shape \(2, 2\), expected \(3, 3\)"),
+        (-1.0, None, "theta must be non-negative, got -0.89", 3),
+        (np.nan, None, "theta must be non-negative, got nan", 3),
+        (1.0, np.ones((3, 2)), r"scaling must be square, got shape \(3, 2\)", 3),
+        (1.0, np.ones(3), r"scaling has shape \(3,\)", 3),
+        (1.0, [[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "scaling has non-finite entries", 3),
+        (1.0, np.eye(2), r"scaling has shape \(2, 2\), expected \(3, 3\)", 3),
+        # a 0-state automaton once returned [0, 0] before the scaling was checked
+        (1.0, np.eye(3), r"scaling has shape \(3, 3\), expected \(0, 0\)", 0),
     ])
-    def test_malformed_certificate_is_rejected(self, theta, scaling, message):
-        """``theta`` scales the automaton's own certificate; a ``scaling`` of None keeps its scaling."""
+    def test_malformed_certificate_is_rejected(self, theta, scaling, message, n):
+        """``theta`` scales the ``n``-state automaton's own certificate; a ``scaling`` of None keeps its scaling."""
         rng = np.random.default_rng(0)
-        a = Wfa(("a", "b"), rng.standard_normal(3), rng.standard_normal(3),
-                {s: 0.5 * rng.standard_normal((3, 3)) for s in "ab"})
+        a = Wfa(("a", "b"), rng.standard_normal(n), rng.standard_normal(n),
+                {s: 0.5 * rng.standard_normal((n, n)) for s in "ab"})
         cert = compute_tail_params(a, 0.6)
         with pytest.raises(ValueError, match=message):
             scaling = cert.scaling if scaling is None else scaling
@@ -568,7 +575,7 @@ def tuple_word_seminorm_interval(a, v, gamma, eps, budget, projection=True):
     outward by the slack of "Rounding" in the metric module docstring.
     """
     params = compute_tail_params(a, gamma)
-    kernel = largest_bisimulation(a, DEFAULT_TOL) if projection else None
+    kernel = largest_bisimulation(a, DEFAULT_TOL) if projection else no_kernel(a)
     data = _BoundData(a, _TailPlan(a, gamma, params), kernel)
 
     def remaining(states):
@@ -627,7 +634,7 @@ def tuple_word_seminorm_interval(a, v, gamma, eps, budget, projection=True):
 
 def no_projection_bound(a, gamma):
     """The generic bound with ``W = {0}``: the covector bound on the whole state, no residual terms."""
-    return _BoundData(a, _TailPlan(a, gamma, compute_tail_params(a, gamma)), None)
+    return _BoundData(a, _TailPlan(a, gamma, compute_tail_params(a, gamma)), no_kernel(a))
 
 
 def _tied(a):
@@ -734,7 +741,7 @@ def chain_remainders(data, a, gamma, params, kernel, states):
     m, theta, big_k, s_mat = params.block_len, params.theta, params.step_norm, params.scaling
     g = sum((gamma * big_k) ** r for r in range(m)) / (1.0 - (gamma * theta) ** m)
     beta_dual = np.linalg.norm(np.linalg.inv(s_mat).T @ a.beta)
-    c_mat = np.linalg.qr(s_mat @ kernel.basis)[0] if kernel is not None else np.zeros((a.dim, 0))
+    c_mat = np.linalg.qr(s_mat @ kernel.basis)[0]
     in_w = states @ s_mat.T @ c_mat  # rows C^T S u, so S Q u = C C^T S u
     perp = np.linalg.norm(states @ s_mat.T - in_w @ c_mat.T, axis=1)
     resid = data.norm_coeffs[1] if len(data.norm_coeffs) > 1 else 0.0
@@ -758,7 +765,7 @@ class TestCovectorBound:
             if case % 2:
                 a = duplicated_copy(a)
             gamma = rng.uniform(0.2, 0.8)
-            kernel = largest_bisimulation(a, DEFAULT_TOL) if case % 4 < 2 else None
+            kernel = largest_bisimulation(a, DEFAULT_TOL) if case % 4 < 2 else no_kernel(a)
             states = rng.standard_normal((5, a.dim))
             for params in metric._certificates(a.trans_stack(), 3):
                 if gamma * params.theta >= 1.0 - metric._CERT_MARGIN:
@@ -844,20 +851,20 @@ class TestCovectorBound:
         rng = np.random.default_rng(32)
         a = random_wfa(rng, n=3, alphabet=("a", "b"), norm_cap=0.9)
         params = compute_tail_params(a, 0.5)
-        data = _BoundData(a, _TailPlan(a, 0.5, params), None)
+        data = _BoundData(a, _TailPlan(a, 0.5, params), no_kernel(a))
         # 2 + 4 + ... + 2^10 = 2046 covectors; 3 * 2046 <= 8192 < 3 * 4094
         assert data.count == 2046 and len(data.level_starts) == 10
         long_block = metric.TailBoundParams(params.theta, params.scaling, 12, params.step_norm)
-        assert len(_BoundData(a, _TailPlan(a, 0.5, long_block), None).level_starts) == 12
+        assert len(_BoundData(a, _TailPlan(a, 0.5, long_block), no_kernel(a)).level_starts) == 12
 
     def test_one_letter_levels_capped_but_at_least_the_block_length(self):
         # k = 1 keeps n * N within the work cap for 8,192 / n levels; 64 is the most
         a = one_state(0.9)
         params = compute_tail_params(a, 0.5)
-        data = _BoundData(a, _TailPlan(a, 0.5, params), None)
+        data = _BoundData(a, _TailPlan(a, 0.5, params), no_kernel(a))
         assert data.count == len(data.level_starts) == 64
         long_block = metric.TailBoundParams(params.theta, params.scaling, 70, params.step_norm)
-        assert len(_BoundData(a, _TailPlan(a, 0.5, long_block), None).level_starts) == 70
+        assert len(_BoundData(a, _TailPlan(a, 0.5, long_block), no_kernel(a)).level_starts) == 70
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(n=st.integers(1, 5), k=st.integers(1, 3),

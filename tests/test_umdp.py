@@ -403,20 +403,51 @@ def prefix_search(a, gamma, bound, eps, budget):
                              converged=converged)
 
 
+class WithoutLassos:
+    """A node bound with its lasso values dropped: the search then scores prefixes only."""
+
+    def __init__(self, bound):
+        self.bound = bound
+
+    def children(self, states):
+        return self.bound.children(states)[:2] + (None,)
+
+
+def spy_node_bounds(monkeypatch):
+    """The node bounds that ``umdp_sup_value_interval`` searches with, in call order."""
+    bounds, search = [], umdp_mod.seminorm_interval
+
+    def spy(*args, node_bound, **kwargs):
+        bounds.append(node_bound)
+        return search(*args, node_bound=node_bound, **kwargs)
+
+    monkeypatch.setattr(umdp_mod, "seminorm_interval", spy)
+    return bounds
+
+
+def assert_lassos_only_help(u, iv, bound, eps, budget):
+    """The search without ``bound``'s lassos expands at least as many nodes and finds no better ``lower``."""
+    a = umdp_to_wfa(u)
+    prefixes = seminorm_interval(a, a.alpha, u.gamma, eps, budget, node_bound=WithoutLassos(bound))
+    assert iv.nodes_expanded <= prefixes.nodes_expanded and iv.lower >= prefixes.lower
+    return prefixes
+
+
 class TestLassoLowerBound:
     DEMO = Umdp(actions=("jump", "stay"), alpha=[1.0, 0.0], beta=[0.0, 2.0],
                 trans={"stay": np.array([[0.9, 0.1], [0.2, 0.8]]),
                        "jump": np.array([[0.1, 0.9], [0.0, 1.0]])}, gamma=0.8)
 
-    def test_bound_without_lassos_gives_the_prefix_search(self):
+    def test_bound_without_lassos_gives_the_prefix_search(self, monkeypatch):
+        bounds = spy_node_bounds(monkeypatch)
         rng = np.random.default_rng(63)
         for case in range(30):
             u = sweep_umdp(rng, case)
             a = umdp_to_wfa(u)
-            bound = umdp_mod._AlphaVectorBound(alpha_set(u), u.beta)
             for eps, budget in ((1e-6, 300), (1e-12, 7)):
-                got = seminorm_interval(a, a.alpha, u.gamma, eps, budget, node_bound=bound)
-                assert got == prefix_search(a, u.gamma, bound, eps, budget)
+                iv = umdp_sup_value_interval(u, eps, budget)
+                got = assert_lassos_only_help(u, iv, bounds[-1], eps, budget)
+                assert got == prefix_search(a, u.gamma, bounds[-1], eps, budget)
 
     def test_lasso_closes_the_gap_at_the_root(self):
         # "jump" forever is optimal: value 2 * 0.9 * 0.8 / (0.2 * 0.92) = 180 / 23
@@ -437,15 +468,35 @@ class TestLassoLowerBound:
         assert iv.nodes_expanded == 0 and not iv.converged
         assert iv.lower == umdp_value_truncated(self.DEMO, iv.witness_prefix + ("jump",), 11)
 
-    @pytest.mark.parametrize("gamma", [0.999, 1.0 - 1e-9])
-    def test_lasso_length_cap_falls_back_to_prefixes(self, gamma, monkeypatch):
+    @pytest.mark.parametrize("gamma, prefix_lower, upper", [
+        (0.996, 90.89, 164.27517015938696),
+        (0.999, 119.71, 656.9971927816063),
+        (1.0 - 1e-9, 132.08, 656965361.907185),
+    ])
+    def test_lasso_past_the_length_cap_is_written_out_to_the_cap(self, gamma, prefix_lower, upper):
+        # a search that scored prefixes only here gave the same upper and a lower end of prefix_lower
         u = random_umdp(np.random.default_rng(6), n=4, actions=("a", "b"), gamma=gamma)
         iv = umdp_sup_value_interval(u, budget=200)
-        assert len(iv.witness_prefix) <= iv.depth_explored
-        monkeypatch.setattr(umdp_mod, "_LASSO_LENGTH_CAP", 10**12)
-        if gamma == 0.999:  # a lasso of about 20,000 actions once the cap allows it
-            long = umdp_sup_value_interval(u, budget=200)
-            assert len(long.witness_prefix) > 4096 and long.lower >= iv.lower
+        word = iv.witness_prefix
+        assert len(word) == umdp_mod._LASSO_LENGTH_CAP == 4096
+        assert iv.lower == umdp_value_truncated(u, word + ("a",), len(word) + 1)
+        assert iv.upper == upper and iv.lower > prefix_lower
+
+    def test_near_one_lower_is_the_value_of_its_witness(self, monkeypatch):
+        bounds = spy_node_bounds(monkeypatch)
+        rng = np.random.default_rng(2024)
+        capped = 0
+        for _ in range(20):
+            n = int(rng.integers(1, 7))
+            actions = ("a", "b", "c")[: int(rng.integers(1, 4))]
+            gamma = 1.0 - 10.0 ** rng.uniform(-5, -1.5)
+            u = random_umdp(rng, n=n, actions=actions, gamma=gamma)
+            iv = umdp_sup_value_interval(u, budget=100)
+            word = iv.witness_prefix
+            assert iv.lower == umdp_value_truncated(u, word + ("a",), len(word) + 1) <= iv.upper
+            assert_lassos_only_help(u, iv, bounds[-1], 1e-6, 100)
+            capped += len(word) == umdp_mod._LASSO_LENGTH_CAP
+        assert capped >= 10
 
 
 class TestLoopLassos:
