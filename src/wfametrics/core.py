@@ -54,7 +54,7 @@ def checked_array(value, name: str, shape: tuple[int | None, ...]) -> np.ndarray
     """
     try:
         arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:  # OverflowError: an integer past float range
         raise ValueError(f"{name} must hold numbers: {err}") from None
     if arr.shape != shape and (
         arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape))
@@ -84,6 +84,8 @@ def checked_symbols(symbols: Iterable[str], name: str) -> tuple[str, ...]:
     symbols = tuple(symbols)
     if len(symbols) == 0:
         raise ValueError(f"{name} must be non-empty")
+    if "" in symbols:  # a word tokenizer would match it everywhere without moving on
+        raise ValueError(f"{name} has an empty symbol")
     if len(set(symbols)) != len(symbols):
         raise ValueError(f"{name} has duplicate symbols: {symbols}")
     return tuple(sorted(symbols))

@@ -41,13 +41,13 @@ Lasso values are optional lower candidates.  Entry ``c * m + i`` (for ``m``
 rows) estimates the value, from row ``i`` on, of the lasso that repeats the
 ``c``-th alphabet symbol forever after that row's word.  The values only
 rank: the search keeps the best lasso, less the bound's ``lasso_margin``, as
-a floor for its gap test, and at exit writes it out as its word followed by
-the symbol, up to ``lasso_length`` symbols in all.  That word's partial
-value, summed forward, becomes ``lower`` (and the word ``witness_prefix``)
-when it beats the best prefix, and ``converged`` is judged on that
-``lower``.  A bound that returns lasso values does so on every call and sets
-``lasso_length`` and ``lasso_margin`` so that the margin covers the dropped
-tail and the rounding of the estimate.
+a floor for its gap test.  At exit it passes its best prefix and that lasso
+(the row's word as the stem, and the symbol) to the bound's ``lasso_word``,
+which returns the lasso to witness, written out.  That word's partial value,
+summed forward, becomes ``lower`` (and the word ``witness_prefix``) when it
+beats the best prefix.  A bound that returns lasso values does so on every
+call, with a ``lasso_margin`` that covers the tail the written-out word
+drops and the rounding of the estimate.
 
 For a prefix ``y`` of length ``d`` with state ``u = tau_y v`` and partial value
 ``P(y) = sum_{t<=d} gamma^t |beta(tau_{y<=t} v)|``, the remaining supremum is
@@ -399,9 +399,10 @@ class _TailPlan:
 class NodeBound(Protocol):
     """A branch-and-bound node bound; see "Node bound" in the module docstring.
 
-    A bound that returns lasso values also has ``lasso_length``, the number
-    of symbols a lasso is written out to, and ``lasso_margin``, which covers
-    the dropped tail and the rounding of its values.
+    A bound that returns lasso values also has ``lasso_margin``, which covers
+    the dropped tail and the rounding of its values, and
+    ``lasso_word(start, gamma, witness, stem, symbol)``, which writes out its
+    best lasso after a prefix of ``witness`` or of ``stem`` then ``symbol``.
     """
 
     def children(self, states: np.ndarray) -> tuple[list[float], list[float], list[float] | None]:
@@ -549,9 +550,9 @@ def seminorm_interval(
     if lasso_at is not None:
         depth, first, rows, lassos = lasso_at
         c, i = divmod(lassos.index(max(lassos)), rows)
-        word = _decode_word(depth, first + i, symbols)
-        word += (symbols[c],) * max(node_bound.lasso_length - depth, 0)
-        value = discounted_sum(with_initial(a, v), word, gamma)
+        stem, start = _decode_word(depth, first + i, symbols), with_initial(a, v)
+        word = node_bound.lasso_word(start, gamma, witness, stem, symbols[c])
+        value = discounted_sum(start, word, gamma)
         if value > lower:
             lower, witness = value, word
     upper, depth = max(upper, lower), len(gpows) - 1

@@ -53,24 +53,24 @@ is formed when ``k = 1`` (a longer loop of one action repeats it) or when
 level 2 would pass a cap.  The one-action loops of level 1,
 ``(I - gamma K_c)^-1 beta``, are the lassos the node bound returns with its
 other products at every node (see "Node bound" in :mod:`wfametrics.metric`),
-and its alpha-set starts from them.  After the search every lasso whose
-prefix is a prefix of the returned witness (the empty one included) and
-whose loop is any formed loop is scored as well.  The closed form is
-rounded, so it only ranks lassos and closes the gap test less a margin.
-The best lasso is written out as the prefix followed by the loop up to
-``L`` actions in all: the smallest ``L`` at which ``gamma^(L+1) max(beta) /
-(1 - gamma)``, the most the dropped tail can be worth, is at most ``eps /
-100``, or ``_LASSO_LENGTH_CAP`` near ``gamma = 1``, where the margin covers
-that larger tail.  That word's forward-summed truncated value becomes
-``lower`` when it beats the best so far, and the word becomes
-``witness_prefix``, so the witness can be much longer than
-``depth_explored``; ``converged`` is judged on that ``lower``.
+and its alpha-set starts from them.  At exit the bound scores every formed
+loop after every prefix (the empty one included) of two words: the search's
+best prefix, and the stem of its best node lasso followed by that lasso's
+action out to ``L`` actions.  The closed form is rounded, so it only ranks
+lassos and closes the gap test less a margin.  The best lasso is written out
+as its prefix followed by the loop up to ``L`` actions in all: the smallest
+``L`` at which ``gamma^(L+1) max(beta) / (1 - gamma)``, the most the dropped
+tail can be worth, is at most ``eps / 100``, or ``_LASSO_LENGTH_CAP`` near
+``gamma = 1``, where the margin covers that larger tail.  The search sums
+that word forward once: it becomes ``witness_prefix`` and its value
+``lower`` when it beats the best prefix, so the witness can be much longer
+than ``depth_explored``; ``converged`` is judged on that ``lower``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -175,10 +175,11 @@ def umdp_sup_value_interval(
 
     The search uses the alpha-vector node bound and the lasso lower bound of
     the module docstring: at every node it scores the prefix followed by one
-    action forever, and after the search the prefixes of the witness followed
-    by any action loop of up to ``p`` actions (``p`` from the entry and count
-    caps, 1 for a single action), each written out to at most
-    ``_LASSO_LENGTH_CAP`` actions.  The node count does not depend on the
+    action forever, and at exit the prefixes of its best prefix and of its
+    best such lasso followed by any action loop of up to ``p`` actions (``p``
+    from the entry and count caps, 1 for a single action); the best is
+    written out to at most ``_LASSO_LENGTH_CAP`` actions.  The search's
+    interval is returned as it is.  The node count does not depend on the
     longer loops; only ``lower``, ``witness_prefix`` and ``converged`` can.
     Raises ``ValueError`` when ``max(beta) / (1 - gamma)`` overflows, ``eps``
     is not positive or ``budget`` is not a non-negative integer, all before
@@ -200,11 +201,9 @@ def umdp_sup_value_interval(
     slack = (length + 2 / (1 - u.gamma)) * _rounding_slack(n, top)  # the rounding of the closed form
     margin = max(eps / 100, u.gamma ** (length + 1) * top) + slack  # and the dropped tail
     loops = _loop_values(u, _longest_loop(k, n))
-    stationary = loops[:k]
     a = umdp_to_wfa(u)
-    bound = _AlphaVectorBound(_alpha_vectors(u, stationary, top), u.beta, stationary, length, margin)
-    iv = seminorm_interval(a, a.alpha, u.gamma, eps, budget, node_bound=bound)
-    return _with_best_loop(a, u.gamma, eps, iv, loops, length)
+    bound = _AlphaVectorBound(_alpha_vectors(u, loops[:k], top), u.beta, loops, length, margin)
+    return seminorm_interval(a, a.alpha, u.gamma, eps, budget, node_bound=bound)
 
 
 def _longest_loop(k: int, n: int) -> int:
@@ -235,38 +234,6 @@ def _loop_values(u: Umdp, longest: int) -> np.ndarray:
         systems.append(eye - u.gamma**p * prods.transpose(0, 2, 1))
         rhs.append(passes)
     return _solve(np.concatenate(systems), np.concatenate(rhs)[..., None])[..., 0]
-
-
-def _with_best_loop(a: Wfa, gamma: float, eps: float, iv: CertifiedInterval, loops: np.ndarray,
-                    length: int) -> CertifiedInterval:
-    """``iv`` with the best lasso on a prefix of its witness written out, when that beats ``lower``.
-
-    See "Lasso lower bound" in the module docstring; ``loops`` are the rows
-    of :func:`_loop_values` and ``length`` is ``L``.
-    """
-    stem = iv.witness_prefix
-    states = prefix_states(a, stem)
-    gpows = gamma ** np.arange(len(stem) + 1)
-    rewards = gpows * (states @ a.beta)
-    values = states @ loops.T
-    rows = values.argmax(axis=1)  # the best loop after each prefix
-    scores = gpows * values.max(axis=1)
-    scores[1:] += np.cumsum(rewards[:-1])
-    t = int(np.argmax(scores))
-    row = int(rows[t])
-    k, p = len(a.alphabet), 1
-    while row >= k**p:
-        row, p = row - k**p, p + 1
-    loop = _decode_word(p, row, a.alphabet)
-    tail = max(length - t, 0)
-    word = stem[:t] + (loop * (tail // p + 1))[:tail]
-    if word == stem:  # the witness is that lasso already
-        return iv
-    value = discounted_sum(a, word, gamma)
-    if not value > iv.lower:
-        return iv
-    return replace(iv, lower=value, upper=max(iv.upper, value), witness_prefix=word,
-                   converged=iv.converged or iv.upper - value <= eps)
 
 
 def _backup(kernels: np.ndarray, beta: np.ndarray, gamma: float, alphas: np.ndarray) -> np.ndarray:
@@ -343,21 +310,46 @@ class _AlphaVectorBound:
     then the lasso values in one slice, ``c * m + i`` for lasso ``c`` of row
     ``i``.  The states and rewards are non-negative, so ``u . beta`` is
     already ``|beta . u|``.  The short rows are reduced as Python lists,
-    which is faster than numpy reductions on arrays this small.  ``lassos``
-    are the rows ``v_c`` (see "Lasso lower bound" in the module docstring).
+    which is faster than numpy reductions on arrays this small.  ``loops``
+    are the rows ``v_c`` of :func:`_loop_values`, the first ``k`` the node
+    lassos, and ``length`` is ``L`` (see "Lasso lower bound" in the module docstring).
     """
 
-    def __init__(self, alphas: np.ndarray, beta: np.ndarray, lassos: np.ndarray, lasso_length: int,
+    def __init__(self, alphas: np.ndarray, beta: np.ndarray, loops: np.ndarray, length: int,
                  lasso_margin: float):
-        self.weights_t = np.vstack([beta, alphas - beta, lassos])
         self.k = len(alphas)
-        self.lasso_length, self.lasso_margin = lasso_length, lasso_margin
+        self.weights_t = np.vstack([beta, alphas - beta, loops[:self.k]])
+        self.loops, self.length, self.lasso_margin = loops, length, lasso_margin
 
     def children(self, states: np.ndarray) -> tuple[list[float], list[float], list[float]]:
         m = len(states)
         flat = self.weights_t.dot(states.T).ravel().tolist()
         end = (self.k + 1) * m
         return flat[:m], [max(flat[i:end:m]) for i in range(m, 2 * m)], flat[end:]
+
+    def lasso_word(self, start: Wfa, gamma: float, witness: tuple[str, ...], stem: tuple[str, ...],
+                   symbol: str) -> tuple[str, ...]:
+        """The best lasso after a prefix of ``witness`` or of ``stem`` then ``symbol`` to ``L`` actions.
+
+        Written out to ``L`` actions; see "Lasso lower bound" in the module docstring.
+        """
+        scored = []
+        for word in (witness, stem + (symbol,) * max(self.length - len(stem), 0)):
+            states = prefix_states(start, word)
+            gpows = gamma ** np.arange(len(word) + 1)
+            rewards = gpows * (states @ start.beta)
+            values = states @ self.loops.T
+            scores = gpows * values.max(axis=1)  # the best loop after each prefix
+            scores[1:] += np.cumsum(rewards[:-1])
+            t = int(np.argmax(scores))
+            scored.append((scores[t], word[:t], int(values[t].argmax())))
+        _, prefix, row = max(scored, key=lambda item: item[0])  # the first on a tie
+        k, p = self.k, 1
+        while row >= k**p:
+            row, p = row - k**p, p + 1
+        loop = _decode_word(p, row, start.alphabet)
+        tail = max(self.length - len(prefix), 0)
+        return prefix + (loop * (tail // p + 1))[:tail]
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +374,7 @@ def umdp_from_dict(doc: Mapping) -> Umdp:
     if isinstance(gamma, bool) or not isinstance(gamma, (int, float)):
         raise ValueError(f"field 'gamma' must be a number, got {gamma!r}")
     return Umdp(actions=symbol_list(doc, "actions"), alpha=doc["alpha"], beta=doc["beta"],
-                trans=matrix_map(doc, "trans"), gamma=float(gamma))
+                trans=matrix_map(doc, "trans"), gamma=float(checked_array(gamma, "field 'gamma'", ())))
 
 
 def load_umdp(path: str) -> Umdp:

@@ -357,6 +357,17 @@ MALFORMED = {
     "umdp-unknown-field": ("umdp", lambda d: {**d, "discount": 0.5}),
     "block-unknown-field": ("block", lambda d: {**d, "rank": 1}),
     "vector-object": ("vector", lambda d: {"x": 1.0}),
+    # a JSON integer past float range once escaped as an OverflowError traceback
+    "wfa-alpha-huge-integer": ("wfa", lambda d: {**d, "alpha": [10**400]}),
+    "umdp-gamma-huge-integer": ("umdp", lambda d: {**d, "gamma": 10**400}),
+    "umdp-kernel-huge-integer": ("umdp", lambda d: {**d, "trans": {"a": [[10**400]]}}),
+    "block-h-huge-integer": ("block", lambda d: {**d, "H": [[10**400, 1.0], [1.0, 1.0]]}),
+    "vector-huge-integer": ("vector", lambda d: [-10**400]),
+    # an empty symbol once hung the word tokenizer (here the word is "a", which it does parse)
+    "wfa-alphabet-empty-symbol": ("wfa", lambda d: {**d, "alphabet": ["", "a"],
+                                                    "trans": {"": [[0.5]], **d["trans"]}}),
+    "umdp-actions-empty-symbol": ("umdp", lambda d: {**d, "actions": ["", "a"],
+                                                     "trans": {"": [[1.0]], **d["trans"]}}),
 }
 
 

@@ -160,6 +160,13 @@ class TestValidationAndJson:
             Wfa(alphabet=(), alpha=[1.0], beta=[1.0], trans={})
         with pytest.raises(ValueError):
             Wfa(alphabet=("a", "a"), alpha=[1.0], beta=[1.0], trans={"a": [[1.0]]})
+        # the CLI's word tokenizer once matched "" without moving on and never returned
+        with pytest.raises(ValueError, match="alphabet has an empty symbol"):
+            Wfa(alphabet=("", "a"), alpha=[1.0], beta=[1.0], trans={"": [[1.0]], "a": [[1.0]]})
+
+    def test_integer_past_float_range_names_its_field(self):
+        with pytest.raises(ValueError, match="^beta must hold numbers: int too large"):
+            Wfa(alphabet=("a",), alpha=[1.0], beta=[10**400], trans={"a": [[1.0]]})
 
     def test_shape_constraints(self):
         with pytest.raises(ValueError):

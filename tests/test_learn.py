@@ -259,6 +259,7 @@ class TestBlockJson:
     @pytest.mark.parametrize("alphabet, prefixes, suffixes, message", [
         (("a", "a"), [(), ("a",)], [(), ("a",)], "duplicate symbols"),
         ((), [()], [()], "must be non-empty"),
+        (("", "a"), [(), ("a",)], [(), ("a",)], "alphabet has an empty symbol"),
         (("a",), [(), ("z",)], [(), ("a",)], r"\['z'\] has a symbol outside the alphabet"),
         (("a",), [(), ("a",)], [(), ("a", "z")], r"\['a', 'z'\] has a symbol outside the alphabet"),
     ])

@@ -79,6 +79,11 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{match}.* has non-finite entries"):
             Umdp(actions=("a", "b"), gamma=0.9, **parts)
 
+    def test_rejects_empty_action(self):
+        with pytest.raises(ValueError, match="actions has an empty symbol"):
+            Umdp(actions=("", "a"), alpha=[1.0], beta=[1.0], trans={"": [[1.0]], "a": [[1.0]]},
+                 gamma=0.9)
+
     def test_trans_keys_must_be_the_actions(self):
         with pytest.raises(ValueError, match="trans keys must match"):
             Umdp(actions=("a",), alpha=[1.0], beta=[1.0], trans={"b": [[1.0]]}, gamma=0.9)
@@ -499,6 +504,24 @@ class TestLassoLowerBound:
         assert capped >= 10
 
 
+def sparse_umdp(c):
+    """Seeded UMDP from the first state, with one or two successors per state and action."""
+    rng = np.random.default_rng([2026, c])
+    n = int(rng.integers(2, 7))
+    actions = ("a", "b", "c")[: int(rng.integers(2, 4))]
+    gamma = float(rng.uniform(0.5, 0.95))
+    trans = {}
+    for act in actions:
+        mat = np.zeros((n, n))
+        for s in range(n):
+            cols = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
+            w = rng.random(len(cols)) + 0.05
+            mat[s, cols] = w / w.sum()
+        trans[act] = mat
+    beta = rng.random(n) * (rng.random(n) < 0.6)
+    return Umdp(actions=actions, alpha=np.eye(n)[0], beta=beta, trans=trans, gamma=gamma)
+
+
 class TestLoopLassos:
     # "a" then "b" walks 0 -> 1 -> 0 -> ... on the rewarding states; every other
     # move drops into the sink 2, so one action repeated earns at most two rewards
@@ -533,6 +556,23 @@ class TestLoopLassos:
         best = 0.5 * 5.0 + 0.25 * 2.0
         assert best - 1e-6 / 100 <= iv.lower <= best <= iv.upper
         assert iv.witness_prefix[:6] == ("a", "a", "a", "b", "a", "b")
+
+    # lower ends of a lasso stage in two steps: the node lasso written out and summed, then
+    # every loop scored after the prefixes of the word kept.  Scoring the loops only after
+    # the prefixes of the best prefix and of the node lasso's stem gave 3.9549, 1.1859 and
+    # 5.8595 here: the node lasso written out must be scored as well.
+    SPARSE_LOWER = {20: 4.220404941873668, 52: 1.2312949117795426, 100: 6.247426970875406}
+
+    def test_lasso_stage_scores_the_written_out_node_lasso(self):
+        for c in range(200):
+            u = sparse_umdp(c)
+            iv = umdp_sup_value_interval(u, eps=1e-6, budget=c % 4)
+            word = iv.witness_prefix
+            assert iv.lower == umdp_value_truncated(u, word + (u.actions[0],), len(word) + 1)
+            assert iv.lower >= self.SPARSE_LOWER.get(c, 0.0) * (1 - 1e-12)
+            if c == 188:  # the lasso closes the gap at the root
+                assert iv.converged and iv.nodes_expanded == 0
+                assert iv.lower == pytest.approx(4.052281174032168, rel=1e-12)
 
     def test_loop_values_are_the_repeated_loops(self):
         u = random_umdp(np.random.default_rng(64), n=3, actions=("a", "b"), gamma=0.5)
