@@ -17,7 +17,7 @@ from . import metric, umdp as umdp_mod
 from .bisim import largest_bisimulation, minimize
 from .core import (
     all_words, checked_array, difference, evaluate, format_word, json_text, load_json, load_wfa,
-    reverse, wfa_to_dict,
+    parse_word, reverse, wfa_to_dict,
 )
 from .jsr import DEFAULT_NODE_BUDGET, wfa_irreducible, wfa_spectral_radius
 from .linalg import DEFAULT_TOL
@@ -26,45 +26,18 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_CANNOT_CERTIFY = 2
 EXIT_BUDGET = 3
+WORD_HELP = ("a word: its symbols written together when every symbol of the alphabet is one "
+             "character, else separated by spaces; ε or the empty string is the empty word")
 
 
 def fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def tokenize_word(text: str, alphabet: tuple[str, ...]) -> tuple[str, ...]:
-    """Parse a word: whitespace-separated symbols, or greedy concatenation.
-
-    The empty string is the empty word.  Without whitespace, symbols are
-    matched greedily longest-first, which is unambiguous for the common case
-    of single-character alphabets.  Whitespace-separated symbols are checked
-    against the alphabet where the word is used, by ``Wfa.check_word``.
-    """
-    if text == "" or text == "ε":
-        return ()
-    if any(ch.isspace() for ch in text):
-        return tuple(text.split())
-    parts = []
-    by_len = sorted(alphabet, key=len, reverse=True)
-    pos = 0
-    while pos < len(text):
-        for sym in by_len:
-            if text.startswith(sym, pos):
-                parts.append(sym)
-                pos += len(sym)
-                break
-        else:
-            raise ValueError(f"cannot tokenize {text!r} at position {pos} over alphabet {list(alphabet)}")
-    return tuple(parts)
-
-
 def read_words(path: str, alphabet: tuple[str, ...]) -> list[tuple[str, ...]]:
     """One word per line; blank lines are the empty word."""
-    words = []
     with open(path) as fh:
-        for line in fh:
-            words.append(tokenize_word(line.strip(), alphabet))
-    return words
+        return [parse_word(line.strip(), alphabet) for line in fh]
 
 
 def _write(text: str, output: str | None) -> None:
@@ -75,10 +48,11 @@ def _write(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _report(iv: metric.CertifiedInterval) -> int:
+def _report(iv: metric.CertifiedInterval, alphabet: tuple[str, ...]) -> int:
     """Print a certified interval; exit code 0 when it converged, 3 on a budget exit."""
     sys.stdout.write(
-        f"lower {fmt(iv.lower)}\nupper {fmt(iv.upper)}\nwitness {format_word(iv.witness_prefix)}\n"
+        f"lower {fmt(iv.lower)}\nupper {fmt(iv.upper)}\n"
+        f"witness {format_word(iv.witness_prefix, alphabet)}\n"
         f"nodes_expanded {iv.nodes_expanded}\ndepth_explored {iv.depth_explored}\n"
         f"converged {str(iv.converged).lower()}\n"
     )
@@ -98,8 +72,7 @@ def _write_csv(seed: int, header: str, rows, output: str | None) -> None:
 
 def cmd_eval(args) -> int:
     a = load_wfa(args.wfa)
-    word = tokenize_word(args.word, a.alphabet)
-    print(fmt(evaluate(a, word)))
+    print(fmt(evaluate(a, parse_word(args.word, a.alphabet))))
     return EXIT_OK
 
 
@@ -131,10 +104,11 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_jsr(args) -> int:
-    b = wfa_spectral_radius(load_wfa(args.wfa), args.depth, args.budget)
+    a = load_wfa(args.wfa)
+    b = wfa_spectral_radius(a, args.depth, args.budget)
     print(f"lower {fmt(b.lower)}")
     print(f"upper {fmt(b.upper)}")
-    print(f"witness {format_word(b.witness)}")
+    print(f"witness {format_word(b.witness, a.alphabet)}")
     if b.truncated:
         print("truncated true")
     return EXIT_OK
@@ -147,13 +121,13 @@ def cmd_irreducible(args) -> int:
 
 def cmd_distance(args) -> int:
     a1, a2 = load_wfa(args.wfa1), load_wfa(args.wfa2)
-    return _report(metric.distance(a1, a2, args.gamma, args.eps, args.budget))
+    return _report(metric.distance(a1, a2, args.gamma, args.eps, args.budget), a1.alphabet)
 
 
 def cmd_seminorm(args) -> int:
     a = load_wfa(args.wfa)
     vec = load_json(args.vector, lambda doc: checked_array(doc, "vector", (a.dim,)))
-    return _report(metric.seminorm_interval(a, vec, args.gamma, args.eps, args.budget))
+    return _report(metric.seminorm_interval(a, vec, args.gamma, args.eps, args.budget), a.alphabet)
 
 
 def cmd_bound(args) -> int:
@@ -200,14 +174,13 @@ def cmd_experiment_continuity(args) -> int:
 
 def cmd_umdp_value(args) -> int:
     u = umdp_mod.load_umdp(args.umdp)
-    word = tokenize_word(args.actions, u.actions)
-    print(fmt(umdp_mod.umdp_value_truncated(u, word, args.horizon)))
+    print(fmt(umdp_mod.umdp_value_truncated(u, parse_word(args.actions, u.actions), args.horizon)))
     return EXIT_OK
 
 
 def cmd_umdp_sup(args) -> int:
     u = umdp_mod.load_umdp(args.umdp)
-    return _report(umdp_mod.umdp_sup_value_interval(u, args.eps, args.budget))
+    return _report(umdp_mod.umdp_sup_value_interval(u, args.eps, args.budget), u.actions)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
     p = _subcommand(sub, "eval", cmd_eval, "evaluate a WFA on a word", "wfa")
-    p.add_argument("--word", required=True, help="word; empty string for the empty word")
+    p.add_argument("--word", required=True, help=WORD_HELP)
     _subcommand(sub, "reverse", cmd_reverse, "reverse automaton", "wfa", parents=[output])
     _subcommand(sub, "diff", cmd_diff, "difference automaton", "wfa1", "wfa2", parents=[output])
     _subcommand(sub, "minimize", cmd_minimize, "minimal equivalent automaton", "wfa",
@@ -283,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     usub = sub.add_parser("umdp", help="unobservable MDP values").add_subparsers(
         dest="umdp_command", required=True)
     p = _subcommand(usub, "value", cmd_umdp_value, "truncated value of an action string", "umdp")
-    p.add_argument("--actions", required=True)
+    p.add_argument("--actions", required=True, help=WORD_HELP)
     p.add_argument("--horizon", type=int, required=True)
     _subcommand(usub, "sup", cmd_umdp_sup, "certified bracket of the sup value", "umdp",
                 parents=[search])

@@ -25,9 +25,9 @@ T = TypeVar("T")
 def as_word(x: Iterable[str]) -> Word:
     """Normalize a word to a tuple of symbols.
 
-    Plain strings iterate per character, which is the right thing for
-    single-character alphabets; pass a list/tuple for multi-character
-    symbols.
+    A plain string iterates per character, so it names a word over
+    one-character symbols; pass a list or tuple for multi-character symbols.
+    To read a word's text form, use :func:`parse_word`.
     """
     return tuple(x)
 
@@ -37,13 +37,31 @@ def all_words(alphabet: Sequence[str], max_len: int) -> list[Word]:
     return [w for length in range(max_len + 1) for w in itertools.product(alphabet, repeat=length)]
 
 
-def format_word(word: Sequence[str]) -> str:
-    """Render a word compactly: concatenated if all symbols are single chars."""
+def format_word(word: Sequence[str], alphabet: Sequence[str]) -> str:
+    """The text form of ``word`` over ``alphabet``, which :func:`parse_word` reads back.
+
+    The empty word is ``ε``.  Otherwise the symbols are concatenated when
+    every symbol of the alphabet is one character, and separated by spaces
+    when not.
+    """
     if len(word) == 0:
         return "ε"
-    if all(len(s) == 1 for s in word):
-        return "".join(word)
-    return " ".join(word)
+    return ("" if all(len(s) == 1 for s in alphabet) else " ").join(word)
+
+
+def parse_word(text: str, alphabet: Sequence[str]) -> Word:
+    """The word over ``alphabet`` whose text form (see :func:`format_word`) is ``text``.
+
+    ``ε`` and the empty string are the empty word.  Over an alphabet of
+    one-character symbols each character other than whitespace is a symbol;
+    over any other alphabet whitespace separates the symbols.  Symbols are
+    checked against the alphabet where the word is used, by
+    ``Wfa.check_word``.
+    """
+    if text in ("", "ε"):
+        return ()
+    symbols = text.split()
+    return tuple("".join(symbols) if all(len(s) == 1 for s in alphabet) else symbols)
 
 
 def checked_array(value, name: str, shape: tuple[int | None, ...]) -> np.ndarray:
@@ -80,12 +98,19 @@ def check_budget(count, least: int, name: str = "budget") -> None:
 
 
 def checked_symbols(symbols: Iterable[str], name: str) -> tuple[str, ...]:
-    """``symbols`` in sorted order; a ``ValueError`` names ``name`` if it is empty or repeats a symbol."""
+    """``symbols`` in sorted order; a ``ValueError`` names ``name`` if it is empty or repeats a symbol.
+
+    Each symbol must have a text form (see :func:`format_word`): it is not
+    empty, not ``ε`` (the empty word) and holds no whitespace (the separator).
+    """
     symbols = tuple(symbols)
     if len(symbols) == 0:
         raise ValueError(f"{name} must be non-empty")
-    if "" in symbols:  # a word tokenizer would match it everywhere without moving on
+    if "" in symbols:
         raise ValueError(f"{name} has an empty symbol")
+    for sym in symbols:
+        if sym == "ε" or any(ch.isspace() for ch in sym):
+            raise ValueError(f"{name} has the symbol {sym!r}; a symbol may not be 'ε' or hold whitespace")
     if len(set(symbols)) != len(symbols):
         raise ValueError(f"{name} has duplicate symbols: {symbols}")
     return tuple(sorted(symbols))
@@ -169,7 +194,7 @@ def evaluate(a: Wfa, word: Iterable[str]) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(a.beta @ prefix_states(a, word)[-1])
     if not np.isfinite(value):
-        raise ValueError(f"the value of {format_word(word)} overflows floating point")
+        raise ValueError(f"the value of {format_word(word, a.alphabet)} overflows floating point")
     return value
 
 

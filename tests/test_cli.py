@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from wfametrics import Wfa, hankel_from_wfa, load_wfa, save_wfa, wfa_from_dict, wfa_to_dict
-from wfametrics.cli import main, tokenize_word
+from wfametrics.cli import main
+from wfametrics.core import parse_word
 from wfametrics.learn import block_to_dict
 from wfametrics import core, learn, umdp as umdp_mod
 from wfametrics.umdp import Umdp, save_umdp, umdp_to_dict
@@ -27,17 +28,24 @@ def growth_files(tmp_path):
 
 class TestTokenize:
     def test_empty(self):
-        assert tokenize_word("", ("a",)) == ()
+        assert parse_word("", ("a",)) == ()
 
     def test_concatenated(self):
-        assert tokenize_word("abab", ("a", "b")) == ("a", "b", "a", "b")
+        assert parse_word("abab", ("a", "b")) == ("a", "b", "a", "b")
 
     def test_spaced_multichar(self):
-        assert tokenize_word("s1 s2", ("s1", "s2")) == ("s1", "s2")
+        assert parse_word("s1 s2", ("s1", "s2")) == ("s1", "s2")
 
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            tokenize_word("az", ("a", "b"))
+    def test_spaced_single_characters(self):
+        # the README's replay recipe appends " a" to a witness written together
+        assert parse_word("abab a", ("a", "b")) == ("a", "b", "a", "b", "a")
+
+    def test_unknown(self, growth_files, capsys):
+        _, a1 = growth_files
+        assert main(["eval", a1, "--word", "az"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown symbol 'z'")
 
 
 class TestBasicCommands:
@@ -368,6 +376,17 @@ MALFORMED = {
                                                     "trans": {"": [[0.5]], **d["trans"]}}),
     "umdp-actions-empty-symbol": ("umdp", lambda d: {**d, "actions": ["", "a"],
                                                      "trans": {"": [[1.0]], **d["trans"]}}),
+    # no word's text can name the symbol "ε" (the empty word) or one holding whitespace
+    "wfa-alphabet-epsilon-symbol": ("wfa", lambda d: {**d, "alphabet": ["ε", "a"],
+                                                      "trans": {"ε": [[0.5]], **d["trans"]}}),
+    "wfa-alphabet-spaced-symbol": ("wfa", lambda d: {**d, "alphabet": ["a b", "a"],
+                                                     "trans": {"a b": [[0.5]], **d["trans"]}}),
+    "umdp-actions-epsilon-symbol": ("umdp", lambda d: {**d, "actions": ["ε", "a"],
+                                                       "trans": {"ε": [[1.0]], **d["trans"]}}),
+    "umdp-actions-spaced-symbol": ("umdp", lambda d: {**d, "actions": ["a b", "a"],
+                                                      "trans": {"a b": [[1.0]], **d["trans"]}}),
+    "block-alphabet-epsilon-symbol": ("block", lambda d: {**d, "alphabet": ["ε", "a"],
+                                                          "Hsig": {"ε": d["Hsig"]["a"], **d["Hsig"]}}),
 }
 
 
@@ -529,6 +548,22 @@ class TestUmdpCommands:
         horizon = str(len(witness) + 1)
         assert main(["umdp", "value", str(path), "--actions", witness + "a", "--horizon", horizon]) == 0
         assert capsys.readouterr().out.strip() == fields["lower"]
+
+    def test_sup_witness_replays_over_mixed_actions(self, tmp_path, capsys):
+        # this witness uses only "a" and "b"; it was once printed run together and read back as "ab"s
+        rng = np.random.default_rng(2)
+        actions = ("a", "ab", "b")
+        trans = {act: random_stochastic(rng, 3) for act in actions}
+        alpha = rng.random(3) + 1e-3
+        path = tmp_path / "u.json"
+        save_umdp(Umdp(actions, alpha / alpha.sum(), rng.random(3), trans, 0.8), str(path))
+        assert main(["umdp", "sup", str(path)]) == 0
+        out = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+        witness = out["witness"].split()
+        assert set(witness) == {"a", "b"}
+        recipe = ["--actions", f"{out['witness']} a", "--horizon", str(len(witness) + 1)]
+        assert main(["umdp", "value", str(path), *recipe]) == 0
+        assert capsys.readouterr().out == f"{out['lower']}\n"
 
     def test_sup_failed_alpha_check_exit_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(umdp_mod, "_is_supersolution", lambda *args: False)

@@ -1,7 +1,9 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wfametrics import (
     Wfa,
@@ -13,10 +15,10 @@ from wfametrics import (
     with_final,
     with_initial,
 )
-from wfametrics.core import format_word, json_text, load_json, prefix_states, save_wfa
-from wfametrics.jsr import jsr_bounds
+from wfametrics.core import format_word, json_text, load_json, parse_word, prefix_states, save_wfa
+from wfametrics.jsr import jsr_bounds, wfa_spectral_radius
 from wfametrics.learn import hankel_from_wfa, perturbation_experiment, spectral_learn
-from wfametrics.metric import TailBoundParams, compute_tail_params, truncated_seminorm
+from wfametrics.metric import TailBoundParams, compute_tail_params, seminorm_interval, truncated_seminorm
 from wfametrics.umdp import Umdp, umdp_value_truncated
 from conftest import all_words, random_wfa
 
@@ -163,6 +165,10 @@ class TestValidationAndJson:
         # the CLI's word tokenizer once matched "" without moving on and never returned
         with pytest.raises(ValueError, match="alphabet has an empty symbol"):
             Wfa(alphabet=("", "a"), alpha=[1.0], beta=[1.0], trans={"": [[1.0]], "a": [[1.0]]})
+        # no word's text can name these: "ε" is the empty word, whitespace separates symbols
+        for sym in ("ε", "a b", "\tb"):
+            with pytest.raises(ValueError, match=re.escape(f"alphabet has the symbol {sym!r}")):
+                Wfa(alphabet=(sym, "a"), alpha=[1.0], beta=[1.0], trans={sym: [[1.0]], "a": [[1.0]]})
 
     def test_integer_past_float_range_names_its_field(self):
         with pytest.raises(ValueError, match="^beta must hold numbers: int too large"):
@@ -264,11 +270,37 @@ def reference_all_words(alphabet, max_len):
 
 class TestFormatWord:
     def test_single_characters_concatenate(self):
-        assert format_word(()) == "ε"
-        assert format_word(("a", "b", "a")) == "aba"
+        assert format_word((), ("a", "b")) == "ε"
+        assert format_word(("a", "b", "a"), ("a", "b")) == "aba"
 
     def test_longer_symbols_are_spaced(self):
-        assert format_word(("s1", "b", "s2")) == "s1 b s2"
+        assert format_word(("s1", "b", "s2"), ("b", "s1", "s2")) == "s1 b s2"
+
+    def test_one_long_symbol_in_the_alphabet_spaces_every_word(self):
+        # "aab" would read back as ("a", "ab")
+        assert format_word(("a", "a", "b"), ("a", "ab", "b")) == "a a b"
+        assert format_word((), ("a", "ab", "b")) == "ε"
+        assert parse_word("ε", ("a", "ab", "b")) == ()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_text_reads_back(self, data):
+        # one-character symbols written together can spell a longer symbol of the alphabet
+        short = data.draw(st.lists(st.sampled_from(("a", "b", "é")), min_size=1, unique=True))
+        spelled = st.lists(st.sampled_from(short), min_size=2, max_size=3).map("".join)
+        alphabet = tuple(short + data.draw(st.lists(spelled | st.sampled_from(("s1", "aε")), min_size=1,
+                                                    unique=True)))
+        word = tuple(data.draw(st.lists(st.sampled_from(alphabet), min_size=2, max_size=8)))
+        assert parse_word(format_word(word, alphabet), alphabet) == word
+
+    def test_printed_witnesses_read_back(self):
+        # 16 of these 200 witnesses were once printed run together and read back as other words
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            a = random_wfa(rng, 3, alphabet=("a", "ab", "b"))
+            for word in (seminorm_interval(a, a.alpha, 0.5, budget=200).witness_prefix,
+                         wfa_spectral_radius(a, 4).witness):
+                assert parse_word(format_word(word, a.alphabet), a.alphabet) == word
 
 
 class TestAllWords:

@@ -262,6 +262,8 @@ class TestBlockJson:
         (("", "a"), [(), ("a",)], [(), ("a",)], "alphabet has an empty symbol"),
         (("a",), [(), ("z",)], [(), ("a",)], r"\['z'\] has a symbol outside the alphabet"),
         (("a",), [(), ("a",)], [(), ("a", "z")], r"\['a', 'z'\] has a symbol outside the alphabet"),
+        (("ε", "a"), [(), ("a",)], [(), ("a",)], "alphabet has the symbol 'ε'"),
+        (("a b", "a"), [(), ("a",)], [(), ("a",)], "alphabet has the symbol 'a b'"),
     ])
     def test_alphabet_rules(self, alphabet, prefixes, suffixes, message):
         # each once passed the constructor; a bad alphabet failed later, inside spectral_learn

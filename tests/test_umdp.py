@@ -84,6 +84,13 @@ class TestValidation:
             Umdp(actions=("", "a"), alpha=[1.0], beta=[1.0], trans={"": [[1.0]], "a": [[1.0]]},
                  gamma=0.9)
 
+    @pytest.mark.parametrize("action", ["ε", "a b"])
+    def test_rejects_action_no_word_can_name(self, action):
+        # "ε" is the empty word and whitespace separates actions, so neither has a text form
+        with pytest.raises(ValueError, match=f"actions has the symbol '{action}'"):
+            Umdp(actions=(action, "a"), alpha=[1.0], beta=[1.0], trans={action: [[1.0]], "a": [[1.0]]},
+                 gamma=0.9)
+
     def test_trans_keys_must_be_the_actions(self):
         with pytest.raises(ValueError, match="trans keys must match"):
             Umdp(actions=("a",), alpha=[1.0], beta=[1.0], trans={"b": [[1.0]]}, gamma=0.9)
